@@ -359,3 +359,65 @@ def exhaustive_envy_check(
             if own < other - tol * scale:
                 violations.append((i + 1, j + 1))
     return violations
+
+
+def padded_nobudget_reference(
+    inst: BudgetedInstance, q: float, seed, pad: int, levels
+) -> tuple[Outcome, bool]:
+    """The padded no-budget sampling variant, ``pad`` placeholders written out
+    below the reals as (class, value) pairs: (2, value) for a real, (1, -rank)
+    for a placeholder.  Groups A/B/C come from ``random(n + pad)`` with the
+    best-of-A-and-B swap; every breakpoint bid of every market real rebuilds
+    the market table (A and C) against the sample (B).  ``levels`` maps the
+    sample reals to service levels by rank.  Returns (outcome, rejected)."""
+    n, values = inst.n, inst.values
+    u = np.random.default_rng(seed).random(n + pad)
+    keys = [(2.0, values[e]) if e < n else (1.0, float(n - 1 - e))
+            for e in range(n + pad)]
+    label = np.where(u < q, 0, np.where(u < 2.0 * q, 1, 2))
+    union = np.flatnonzero(label < 2)
+    if union.size and label[union[0]] == 1:
+        label[union] = 1 - label[union]
+    sample = [keys[e] for e in np.flatnonzero(label == 1)]
+    market = [int(e) for e in np.flatnonzero(label != 1)]
+
+    def ranking(agent: int, bid: float):
+        # market entities by rank at the agent's bid; None if not covered
+        rows = sorted((((2.0, bid) if e == agent else keys[e]), -e) for e in market)
+        rows.reverse()
+        for t in range(max(len(rows), len(sample))):
+            s = sample[t] if t < len(sample) else (0.0, 0.0)
+            m = rows[t][0] if t < len(rows) else (0.0, 0.0)
+            if s > m:
+                return None
+        return [-e for _, e in rows]
+
+    def served(agent: int, bid: float) -> float:
+        order = ranking(agent, bid)
+        if order is None:
+            return 0.0
+        rank = order.index(agent)
+        return level[rank] if rank < len(level) else 0.0
+
+    alloc = [0.0] * n
+    pay = [0.0] * n
+    if ranking(-1, 0.0) is None:
+        # everyone rejected: the top agent alone, at the second value
+        if inst.weights[0] > 0.0:
+            alloc[0] = inst.weights[0]
+            pay[0] = (values[1] if n >= 2 else 0.0) * inst.weights[0]
+        return Outcome(tuple(alloc), tuple(pay)), True
+    level = levels(tuple(value for kind, value in sample if kind == 2.0))
+    for agent in (e for e in market if e < n):
+        v = values[agent]
+        grid = sorted({0.0, v} | {w for w in values if 0.0 < w < v})
+        area = sum(served(agent, 0.5 * (a + b)) * (b - a)
+                   for a, b in zip(grid, grid[1:]))
+        alloc[agent] = served(agent, v)
+        pay[agent] = v * alloc[agent] - area
+    # the payment bump: the best of A and B is a real in A, a real in B next
+    if union.size >= 2 and union[1] < n and label[union[1]] == 1:
+        best, second = union[0], union[1]
+        if alloc[best] > 0.0:
+            pay[best] = max(pay[best], values[second] * alloc[best])
+    return Outcome(tuple(alloc), tuple(pay)), False

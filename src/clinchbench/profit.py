@@ -3,12 +3,19 @@ clinching or through rejection, the padded no-budget variant, pseudo-Vickrey,
 and the mixed mechanism, plus the random-walk law of the one-ahead index used
 to reason about all of them.
 
+The padded no-budget variant is exact: its infinite tail of placeholders acts
+only through the running maximum M of the sample-minus-market walk over it,
+P(M >= m) = r^m with r = q/(1-q) as in ``walk_closed_forms``, and the walk
+is forced down up to the tail's first member of groups A or B when no real
+lands in either (the A/B swap then puts that member in the market).
+
 Every randomized entry point takes an explicit seed (anything numpy's
 ``default_rng`` accepts, including a live Generator for stream reuse).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,39 +32,12 @@ from .core import (
 )
 from .envyfree import efo_revenue
 
-PAD_DEPTH = 512
 WALK_SERIES_LEN = 500
 
 
 def _check_coin(q: float) -> None:
     if not 0.0 < q < 0.5:
         raise ValueError("sampling coin must lie strictly between 0 and 0.5")
-
-
-@dataclass(frozen=True)
-class Placeholder:
-    """Symbolic infinitesimal sitting below every positive real value.
-
-    Rank 1 is the largest placeholder; higher ranks are smaller still, so a
-    decreasing list of them extends any bid vector without ties.
-    """
-
-    rank: int
-
-
-def entity_key(entity) -> tuple[float, float]:
-    """Comparator key of a padded entity.
-
-    Positive reals sort above every placeholder, placeholders sort among
-    themselves by rank, and anything non-positive collapses to the bottom
-    class used for zero-fill in lopsided comparisons.
-    """
-    if isinstance(entity, Placeholder):
-        if entity.rank < 1:
-            raise ValueError("placeholder ranks start at 1")
-        return (1.0, -float(entity.rank))
-    value = float(entity)
-    return (2.0, value) if value > 0.0 else (0.0, 0.0)
 
 
 def one_ahead_index(market_values, sample_values) -> int:
@@ -166,6 +146,17 @@ def clinching_profit_extractor(estimate, actual, budget: float,
     return outcome
 
 
+def _covers(actual, estimate) -> bool:
+    """Whether the sorted actual values lie pointwise at or above the sorted
+    estimate, the shorter list zero-filled."""
+    for t in range(max(len(actual), len(estimate))):
+        e = estimate[t] if t < len(estimate) else 0.0
+        w = actual[t] if t < len(actual) else 0.0
+        if e > w:
+            return False
+    return True
+
+
 def _rank_at_bid(bid: float, i: int, actual: tuple[float, ...]) -> int:
     # ties lose to earlier positions, so the true bid reproduces rank i
     ahead = sum(1 for j in range(i) if actual[j] >= bid)
@@ -176,13 +167,9 @@ def _rank_at_bid(bid: float, i: int, actual: tuple[float, ...]) -> int:
 def _per_alloc_at_bid(bid: float, i: int, actual: tuple[float, ...],
                       estimate: tuple[float, ...],
                       levels: tuple[float, ...]) -> float:
-    merged = sorted(actual[:i] + actual[i + 1:] + (bid,), reverse=True)
-    length = max(len(estimate), len(merged))
-    for t in range(length):
-        e = estimate[t] if t < len(estimate) else 0.0
-        w = merged[t] if t < len(merged) else 0.0
-        if e > w:
-            return 0.0
+    if not _covers(sorted(actual[:i] + actual[i + 1:] + (bid,), reverse=True),
+                   estimate):
+        return 0.0
     r = _rank_at_bid(bid, i, actual)
     return levels[r] if r < len(levels) else 0.0
 
@@ -193,14 +180,7 @@ def _per_payment(i: int, actual: tuple[float, ...], estimate: tuple[float, ...],
     v = actual[i]
     if v <= 0.0:
         return 0.0, _per_alloc_at_bid(v, i, actual, estimate, levels)
-    points = {0.0, v}
-    for j, w in enumerate(actual):
-        if j != i and 0.0 < w < v:
-            points.add(w)
-    for w in estimate:
-        if 0.0 < w < v:
-            points.add(w)
-    grid = sorted(points)
+    grid = sorted({0.0, v} | {w for w in actual + estimate if 0.0 < w < v})
     area = 0.0
     for a, b in zip(grid, grid[1:]):
         area += _per_alloc_at_bid(0.5 * (a + b), i, actual, estimate, levels) * (b - a)
@@ -221,12 +201,8 @@ def per_profit_extractor(estimate, actual, env: PositionEnvironment) -> Outcome:
     n = len(actual)
     if n == 0:
         return Outcome((), ())
-    length = max(len(estimate), n)
-    for t in range(length):
-        e = estimate[t] if t < len(estimate) else 0.0
-        w = actual[t] if t < n else 0.0
-        if e > w:
-            return zero_outcome(n)
+    if not _covers(actual, estimate):
+        return zero_outcome(n)
     levels = _estimate_allocation(estimate, env, INF)
     alloc = []
     pay = []
@@ -257,112 +233,73 @@ def bspe_budget(inst: BudgetedInstance, q: float, seed) -> Outcome:
     return Outcome(tuple(alloc), tuple(pay))
 
 
-def _pad_pair(e: int, values: tuple[float, ...], n: int) -> tuple[float, float]:
-    # comparator class 2 for reals, 1 for placeholders; class 0 is zero-fill
-    if e < n:
-        return (2.0, values[e])
-    return (1.0, float(n - 1 - e))  # minus the placeholder rank
+def _tail_maximum(q: float, forced_down: bool, rng: np.random.Generator) -> int:
+    """Running maximum M >= 0 of the +1/-1 walk over an infinite tail that
+    steps up with probability q: P(M >= m) = r^m with r = q/(1-q).  With
+    ``forced_down`` the steps up to the tail's first member of A or B, K of
+    them with K - 1 ~ Geometric(2q), all go down first."""
+    r = q / (1.0 - q)
+    peak = math.floor(math.log1p(-rng.random()) / math.log(r))
+    if forced_down:
+        peak -= 1 + math.floor(math.log1p(-rng.random()) / math.log1p(-2.0 * q))
+    return max(0, peak)
 
 
 def bspe_nobudget(inst: BudgetedInstance, q: float, seed,
-                  pad: int = PAD_DEPTH, record: dict | None = None) -> Outcome:
-    """No-budget sampling variant over a symbolically padded population.
+                  record: dict | None = None) -> Outcome:
+    """No-budget sampling variant over an infinitely padded population.
 
-    The bid list is extended by `pad` decreasing placeholders, split into
-    groups A/B/C with the best-of-A-and-B swap, and handed to profit
-    extraction with rejection (sample = B, market = A and C).  If everyone is
-    rejected the top agent alone is served at the second value.  The
-    parenthetical payment bump applies when the market's group-A winner sits
-    just above a sampled runner-up.
+    Infinitely many decreasing placeholders below the reals join them in
+    groups A/B/C with probabilities (q, q, 1-2q) and the best-of-A-and-B
+    swap; sample = B, market = A and C.  The padding is exact, not
+    truncated: the tail enters only through the running maximum M of its
+    sample-minus-market walk, P(M >= m) = r^m with r = q/(1-q), drawn after
+    the reals' labels.  When no real lands in A or B, the swap forces the
+    tail's first member of A or B into A, so the tail walk goes down up to
+    it.  With s sampled and m market reals, everyone is rejected iff
+    s - m + M >= 1 or the sample reals are not pointwise below the market
+    reals; otherwise the market reals face ``per_profit_extractor``.  If
+    everyone is rejected the top agent alone is served at the second value.
+    The parenthetical payment bump applies when the market's group-A winner
+    sits just above a sampled runner-up.
 
     ``record``, when supplied, is filled with which clauses fired.
     """
     _check_coin(q)
-    if record is not None:
-        record.clear()
-        record.update(rejected=False, fallback=False, bump=False)
+    events = {} if record is None else record
+    events.clear()
+    events.update(rejected=False, fallback=False, bump=False)
     n = inst.n
     if n == 0:
         return Outcome((), ())
     values = inst.values
     if values[-1] <= 0.0:
         raise InstanceError("padded sampling needs strictly positive values")
-    total = n + max(0, int(pad))
-    split = group_sample(total, q, seed)
+    rng = np.random.default_rng(seed)
+    split = group_sample(n, q, rng)
     group_a, group_b, _ = split.groups
-    m_idx = split.market
-    s_pairs = [_pad_pair(e, values, n) for e in split.sample]
-
-    def market_table(bid: float, agent: int):
-        rows = []
-        for e in m_idx:
-            if e == agent:
-                rows.append((2.0, float(bid), -e))
-            else:
-                a, b = _pad_pair(e, values, n)
-                rows.append((a, b, -e))
-        rows.sort(reverse=True)
-        return rows
-
-    def rejected_against(rows) -> bool:
-        length = max(len(rows), len(s_pairs))
-        for t in range(length):
-            sp = s_pairs[t] if t < len(s_pairs) else (0.0, 0.0)
-            mp = rows[t][:2] if t < len(rows) else (0.0, 0.0)
-            if sp > mp:
-                return True
-        return False
-
+    tail = _tail_maximum(q, not (group_a or group_b), rng)
+    sample = tuple(values[i] for i in split.sample)
+    market = tuple(values[i] for i in split.market)
     alloc = [0.0] * n
     pay = [0.0] * n
-    base_rows = [_pad_pair(e, values, n) + (-e,) for e in m_idx]
-    if rejected_against(base_rows):
-        if record is not None:
-            record["rejected"] = True
+    if len(sample) - len(market) + tail >= 1 or not _covers(market, sample):
+        events["rejected"] = True
         if inst.weights[0] > 0.0:
             alloc[0] = inst.weights[0]
-            second = values[1] if n >= 2 else 0.0
-            pay[0] = second * inst.weights[0]
-            if record is not None:
-                record["fallback"] = True
+            pay[0] = (values[1] if n >= 2 else 0.0) * inst.weights[0]
+            events["fallback"] = True
         return Outcome(tuple(alloc), tuple(pay))
-
-    sample_reals = tuple(values[e] for e in split.sample if e < n)
-    levels = _estimate_allocation(sample_reals, inst.env, INF)
-
-    def alloc_at_bid(bid: float, agent: int) -> float:
-        rows = market_table(bid, agent)
-        if rejected_against(rows):
-            return 0.0
-        rank = next(t for t, row in enumerate(rows) if row[2] == -agent)
-        return levels[rank] if rank < len(levels) else 0.0
-
-    for agent in (e for e in m_idx if e < n):
-        v = values[agent]
-        points = {0.0, v}
-        for e in m_idx:
-            if e != agent and e < n and 0.0 < values[e] < v:
-                points.add(values[e])
-        for w in sample_reals:
-            if 0.0 < w < v:
-                points.add(w)
-        grid = sorted(points)
-        area = 0.0
-        for a, b in zip(grid, grid[1:]):
-            area += alloc_at_bid(0.5 * (a + b), agent) * (b - a)
-        served = alloc_at_bid(v, agent)
-        alloc[agent] = served
-        pay[agent] = v * served - area
-
-    union = sorted(set(group_a) | set(group_b))
+    inner = per_profit_extractor(sample, market, inst.env)
+    for pos, idx in enumerate(split.market):
+        alloc[idx] = inner.alloc[pos]
+        pay[idx] = inner.pay[pos]
+    union = sorted(group_a + group_b)
     if len(union) >= 2:
         best, second = union[0], union[1]
-        in_b = second in set(group_b)
-        if best < n and second < n and in_b and alloc[best] > 0.0:
-            bumped = values[second] * alloc[best]
-            if record is not None:
-                record["bump"] = True
-            pay[best] = max(pay[best], bumped)
+        if second in group_b and alloc[best] > 0.0:
+            events["bump"] = True
+            pay[best] = max(pay[best], values[second] * alloc[best])
     return Outcome(tuple(alloc), tuple(pay))
 
 

@@ -142,6 +142,25 @@ def test_run_seeded_mechanism(fixture_path, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_run_bspe_nobudget_document(tmp_path):
+    values = [2.5, 4.0, 1.5, 3.0, 2.0]  # unsorted: the outcome keeps this order
+    path = tmp_path / "unlimited.json"
+    path.write_text(json.dumps({"values": values, "weights": [1.0, 0.8, 0.5, 0.2, 0.0],
+                                "budget": "inf"}))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (a, b):
+        rc = entry(["run", "bspe-nobudget", str(path), "--q", "0.3", "--seed", "5",
+                    "--out", str(out)])
+        assert rc == 0
+    assert a.read_bytes() == b.read_bytes()
+    doc = json.loads(a.read_text())
+    assert set(doc["events"]) == {"rejected", "fallback", "bump"}
+    alloc, pay = doc["outcome"]["alloc"], doc["outcome"]["pay"]
+    assert doc["outcome"]["revenue"] > 0.0
+    for v, x, p in zip(values, alloc, pay):
+        assert v * x - p >= -1e-9
+
+
 def test_run_reads_stdin(monkeypatch, capsys, worked):
     monkeypatch.setattr("sys.stdin", io.StringIO(serialize_instance(worked)))
     assert entry(["run", "clinching", "-"]) == 0

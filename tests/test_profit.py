@@ -11,10 +11,11 @@ from clinchbench.core import (
     outcome_revenue,
 )
 from clinchbench.envyfree import efo_revenue
+from clinchbench.oracle import padded_nobudget_reference
 from clinchbench.profit import (
-    Placeholder,
     SamplingSplit,
     WalkPmf,
+    _tail_maximum,
     biased_sample,
     bspe_budget,
     bspe_nobudget,
@@ -22,7 +23,6 @@ from clinchbench.profit import (
     combined_factor,
     combined_hat,
     combined_mechanism,
-    entity_key,
     group_sample,
     nobudget_factor,
     one_ahead_index,
@@ -54,15 +54,6 @@ def test_one_ahead_fixtures():
     assert one_ahead_index((5.0, 3.0), ()) == 0
     # short market against a long sample: zero-padding decides
     assert one_ahead_index((3.0,), (1.0, 1.0)) == 2
-
-
-def test_entity_key_total_order():
-    chain = [5.0, 0.1, Placeholder(1), Placeholder(7), 0.0, -3.0]
-    keys = [entity_key(e) for e in chain]
-    assert all(a >= b for a, b in zip(keys, keys[1:]))
-    assert entity_key(0.0) == entity_key(-3.0)
-    with pytest.raises(ValueError):
-        entity_key(Placeholder(0))
 
 
 def test_split_validation():
@@ -241,7 +232,7 @@ def test_bspe_nobudget_clauses_fire():
     seen = set()
     for seed in range(120):
         rec = {}
-        out = bspe_nobudget(inst, 0.4, seed, pad=8, record=rec)
+        out = bspe_nobudget(inst, 0.4, seed, record=rec)
         seen.update(k for k, v in rec.items() if v)
         if rec["fallback"]:
             assert out.alloc[0] == inst.weights[0]
@@ -250,13 +241,84 @@ def test_bspe_nobudget_clauses_fire():
     assert seen == {"rejected", "fallback", "bump"}
 
 
-def test_bspe_nobudget_pad_depth_is_inert():
-    inst = make_instance((4.0, 3.0, 2.5, 2.0), (1.0, 0.7, 0.3, 0.0), float("inf"))
-    for seed in range(25):
-        a = bspe_nobudget(inst, 0.3, seed, pad=256)
-        b = bspe_nobudget(inst, 0.3, seed, pad=512)
-        assert a.alloc == pytest.approx(b.alloc, abs=1e-12)
-        assert a.pay == pytest.approx(b.pay, abs=1e-12)
+PADDED = make_instance((4.0, 3.0, 2.5, 2.0), (1.0, 0.7, 0.3, 0.0), float("inf"))
+
+
+@pytest.fixture(scope="module")
+def padded_pairs():
+    """Per coin, seeds 0..999 of the exact tail against 512 written-out
+    placeholders: (outcome, rejected) from each side.  Both sides label the
+    reals with the same first n uniforms, so only the tail differs."""
+
+    def levels(estimate):
+        return efo_revenue(make_instance(
+            estimate, PADDED.weights[:len(estimate)], float("inf"))).outcome.alloc
+
+    pairs = {}
+    for q in (0.3, 0.4):
+        rows = []
+        for seed in range(1000):
+            rec = {}
+            exact = bspe_nobudget(PADDED, q, seed, record=rec)
+            rows.append(((exact, rec["rejected"]),
+                         padded_nobudget_reference(PADDED, q, seed, 512, levels)))
+        pairs[q] = rows
+    return pairs
+
+
+def test_bspe_nobudget_matches_written_out_padding(padded_pairs):
+    for q, rows in padded_pairs.items():
+        agreed = 0
+        for (exact, rejected), (ref, ref_rejected) in rows[:200]:
+            if rejected == ref_rejected:
+                agreed += 1
+                assert exact.alloc == pytest.approx(ref.alloc, abs=1e-12)
+                assert exact.pay == pytest.approx(ref.pay, abs=1e-12)
+        assert agreed >= 100, q
+
+
+def test_bspe_nobudget_rates_match_written_out_padding(padded_pairs):
+    """Paired over seeds: the rejection rate and the mean revenue of the
+    exact tail stay within 4 sigma of the written-out padding."""
+    for q, rows in padded_pairs.items():
+        for stat in (lambda side: float(side[1]),
+                     lambda side: outcome_revenue(side[0])):
+            diff = np.array([stat(exact) - stat(ref) for exact, ref in rows])
+            sigma = diff.std(ddof=1) / math.sqrt(diff.size)
+            assert abs(diff.mean()) <= 4.0 * sigma + 1e-12, q
+
+
+def _written_out_tail_maxima(q, forced_down, walks, length, rng):
+    u = rng.random((walks, length))
+    group_b = (u >= q) & (u < 2.0 * q)
+    if forced_down:
+        # the swap hands the first member of A or B to A
+        first = np.argmax(u < 2.0 * q, axis=1)
+        swap = group_b[np.arange(walks), first]
+        group_b[swap] = (u[swap] < q)
+    walk = np.cumsum(np.where(group_b, 1, -1), axis=1)
+    return np.maximum(walk.max(axis=1), 0)
+
+
+def test_tail_maximum_law():
+    """P(M >= m) = r^m, and r^m * 2qr / (1 - (1-2q) r) for m >= 1 when the
+    first tail member of A or B is forced down; both against walks written
+    out over 200 placeholders."""
+    walks = 10_000
+    for q in (0.268, 0.4):
+        r = q / (1.0 - q)
+        for forced_down in (False, True):
+            rng = np.random.default_rng(7)
+            drawn = np.array([_tail_maximum(q, forced_down, rng)
+                              for _ in range(walks)])
+            written = _written_out_tail_maxima(q, forced_down, walks, 200, rng)
+            for m in range(4):
+                law = r ** m
+                if forced_down and m >= 1:
+                    law *= 2.0 * q * r / (1.0 - (1.0 - 2.0 * q) * r)
+                sigma = math.sqrt(law * (1.0 - law) / walks)
+                for sample in (drawn, written):
+                    assert abs(np.mean(sample >= m) - law) <= 4.0 * sigma, (q, m)
 
 
 def test_bspe_nobudget_empty_instance():
