@@ -47,28 +47,6 @@ class ClinchingStructure:
     phase2_start: float
 
 
-def clinch_step(s_prev, s_i, budget, price, i):
-    """Clinch amount for each of ``i`` active agents at ``price``.
-
-    ``s_prev`` and ``s_i`` are the remaining cumulative supplies for the
-    top i-1 and top i positions.  Demand of a prefix of j agents is
-    min(s_j, j*budget/price); each agent clinches the gap between the
-    i-prefix and (i-1)-prefix demands.  Returns the amount together with
-    the updated supply pair and budget.
-    """
-    if i < 1:
-        raise ValueError("need at least one active agent")
-    if price <= 0.0:
-        if budget > 0.0:
-            raise ValueError("price must be positive while demand remains")
-        return 0.0, (s_prev, s_i), budget
-    d_i = min(s_i, i * budget / price)
-    d_prev = min(s_prev, (i - 1) * budget / price) if i > 1 else 0.0
-    delta = max(0.0, d_i - d_prev)
-    updated = (s_prev - (i - 1) * delta, s_i - i * delta)
-    return delta, updated, budget - price * delta
-
-
 def gradual_phase(s_i, i, p_start, p_end):
     """Continuous clinching while the other agents' demand binds.
 
@@ -285,7 +263,9 @@ def structure_check(inst: BudgetedInstance, outcome: Outcome, tol=1e-6):
 
     Returns a list of violation descriptions; empty means the outcome has
     the budget-exhaustion prefix, keeps position weights below the pivot,
-    and is envy free.
+    and is envy free.  The prefix and weight checks are one linear pass;
+    envy-freeness is ``is_envy_free``'s upper-envelope sweep, so the whole
+    check costs O(n log n) time and O(n) memory.
     """
     n = inst.n
     budget = inst.budget

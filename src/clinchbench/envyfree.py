@@ -82,7 +82,18 @@ def max_payments(values, alloc):
 
 
 def is_envy_free(values, outcome, tol=1e-9):
-    """Check individual rationality and pairwise no-envy of an outcome."""
+    """Check individual rationality and pairwise no-envy of an outcome.
+
+    Agent i envies nobody when u_i = v_i x_i - p_i is at least
+    max_j (v_i x_j - p_j), up to one global slack.  That maximum is the
+    upper envelope of the lines t -> x_j t - p_j at t = v_i.  The envelope
+    is built by one sort on (x_j, p_j), keeping the cheapest line of each
+    slope, and a monotone-chain sweep (Andrew 1979); the agents are then
+    visited in ascending value with one pointer along it.  Line i itself
+    needs no exclusion, since it meets u_i exactly at v_i.  O(n log n)
+    time and O(n) memory; ``oracle.exhaustive_envy_check`` is the
+    quadratic pairwise reference.
+    """
     vs = _as_float_list(values, "values")
     xs = outcome.alloc
     ps = outcome.pay
@@ -94,13 +105,31 @@ def is_envy_free(values, outcome, tol=1e-9):
         scale += max(abs(vs[0]), 1.0) * max(max(xs, default=0.0), 1.0)
         scale += max((abs(p) for p in ps), default=0.0)
     slack = tol * scale
-    for i in range(n):
-        u_i = vs[i] * xs[i] - ps[i]
-        if u_i < -slack:
+    hull = []
+    for x, p in sorted(zip(xs, ps)):
+        if hull and hull[-1][0] == x:
+            continue  # same slope, larger payment: never above the kept line
+        while len(hull) >= 2:
+            (x1, p1), (x2, p2) = hull[-2], hull[-1]
+            if (p - p1) * (x2 - x1) <= (p2 - p1) * (x - x1):
+                hull.pop()
+            else:
+                break
+        hull.append((x, p))
+    k = 0
+    for v, u in sorted((v, v * x - p) for v, x, p in zip(vs, xs, ps)):
+        if u < -slack:
             return False
-        for j in range(n):
-            if j != i and vs[i] * xs[j] - ps[j] > u_i + slack:
-                return False
+        x, p = hull[k]
+        best = v * x - p
+        while k + 1 < len(hull):
+            x, p = hull[k + 1]
+            if v * x - p < best:
+                break
+            best = v * x - p
+            k += 1
+        if best > u + slack:
+            return False
     return True
 
 

@@ -274,53 +274,50 @@ def simulate_clock(inst: BudgetedInstance, step: float) -> Outcome:
         return Outcome((), ())
     values = inst.values
     budget = inst.budget
-    supply = np.cumsum(inst.weights)
+    supply = inst.env.cumulative_supply()
     alloc = [0.0] * n
     pay = [0.0] * n
     m = n
     held = 0.0  # common holding of the agents still in
     spent = 0.0  # common payment of the agents still in
 
-    def cap(j: int, price: float) -> float:
-        # most the top j agents could end up holding: supply cut or budget cut
-        if j <= 0:
-            return 0.0
-        rem = max(float(supply[j - 1]) - j * held, 0.0)
-        if price <= 0.0:
-            return rem
-        left = budget - spent
-        if not math.isfinite(left):
-            return rem
-        return min(rem, j * max(left, 0.0) / price)
-
     def clinch(price: float) -> None:
+        # every agent still in clinches what the other m - 1 cannot hold.  The
+        # top j can hold at most their remaining supply and, at a positive
+        # price, j * left / price.  On this hot path comparisons stand in for
+        # min and max; they pick the same operand, so the result is the same.
         nonlocal held, spent
         if m == 0:
             return
-        gain = cap(m, price) - cap(m - 1, price)
+        left = budget - spent
+        cash = 0.0 if left < 0.0 else left
+        top = supply[m - 1] - m * held
+        rest = supply[m - 2] - (m - 1) * held if m > 1 else 0.0
+        top = 0.0 if top < 0.0 else top
+        rest = 0.0 if rest < 0.0 else rest
+        if price > 0.0 and math.isfinite(left):
+            if m * cash / price < top:
+                top = m * cash / price
+            if (m - 1) * cash / price < rest:
+                rest = (m - 1) * cash / price
+        gain = top - rest
         if gain > 0.0:
             held += gain
             spent += price * gain
 
-    def freeze(idx: int) -> None:
-        alloc[idx] = held
-        pay[idx] = min(spent, budget) if math.isfinite(budget) else spent
-
     price = 0.0
     clinch(price)
     while m > 0:
-        if values[m - 1] <= price:
-            freeze(m - 1)
+        # alone in the auction, the last agent keeps what the last drop left
+        if values[m - 1] <= price or m == 1:
             m -= 1
+            alloc[m] = held
+            pay[m] = min(spent, budget)
             clinch(price)
             continue
-        if m == 1:
-            # alone in the auction: the clinch at the last drop was final
-            freeze(0)
-            break
         nxt = values[m - 1]
         left = budget - spent
-        rem_prev = max(float(supply[m - 2]) - (m - 1) * held, 0.0)
+        rem_prev = max(supply[m - 2] - (m - 1) * held, 0.0)
         if not math.isfinite(left):
             bind = math.inf
         elif left <= 1e-13 * (1.0 + budget) or rem_prev <= 1e-300:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from clinchbench.clinching import (
     ClinchingStructure,
-    clinch_step,
     closed_form,
     gradual_phase,
     run_clock,
@@ -22,30 +21,6 @@ EQ_TOL = 1e-8
 # ----------------------------------------------------------------------
 # Step primitives
 # ----------------------------------------------------------------------
-
-
-def test_clinch_step_fixture():
-    delta, supplies, budget = clinch_step(1.0, 2.0, 1.0, 2.0, 2)
-    assert delta == pytest.approx(0.5)
-    assert supplies == pytest.approx((0.5, 1.0))
-    assert budget == pytest.approx(0.0)
-
-
-def test_clinch_step_supply_bound():
-    # ample budget: each active agent clinches the released bottom weight
-    delta, supplies, budget = clinch_step(1.0, 2.0, 100.0, 1.0, 2)
-    assert delta == pytest.approx(1.0)
-    assert supplies == pytest.approx((0.0, 0.0))
-    assert budget == pytest.approx(99.0)
-
-
-def test_clinch_step_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        clinch_step(1.0, 2.0, 1.0, 2.0, 0)
-    with pytest.raises(ValueError):
-        clinch_step(1.0, 2.0, 1.0, 0.0, 2)
-    # zero price is fine once the budget is gone
-    assert clinch_step(1.0, 2.0, 0.0, 0.0, 2) == (0.0, (1.0, 2.0), 0.0)
 
 
 def test_gradual_phase_fixture():

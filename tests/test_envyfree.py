@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clinchbench import oracle
+from clinchbench.clinching import closed_form, run_clock
 from clinchbench.core import (
     Outcome,
     feasible,
@@ -63,6 +64,122 @@ def test_nonmonotone_allocation_is_never_envy_free():
 
 def test_zero_outcome_is_envy_free():
     assert is_envy_free((3.0, 2.0), Outcome((0.0, 0.0), (0.0, 0.0)))
+
+
+def _pairwise_envy_free(values, outcome, tol=1e-9):
+    """The envy test written out over every ordered pair, with the same
+    global slack as ``is_envy_free``."""
+    vs = [float(v) for v in values]
+    xs, ps = outcome.alloc, outcome.pay
+    n = len(vs)
+    scale = 1.0
+    if n:
+        scale += max(abs(vs[0]), 1.0) * max(max(xs, default=0.0), 1.0)
+        scale += max((abs(p) for p in ps), default=0.0)
+    slack = tol * scale
+    for i in range(n):
+        u_i = vs[i] * xs[i] - ps[i]
+        if u_i < -slack:
+            return False
+        for j in range(n):
+            if j != i and vs[i] * xs[j] - ps[j] > u_i + slack:
+                return False
+    return True
+
+
+def _band_outcome(rng, values, alloc):
+    """Payments drawn inside the envy-free band, then one of them moved."""
+    lo = np.array(min_payments(values, alloc))
+    hi = np.array(max_payments(values, alloc))
+    pay = lo + rng.random() * (hi - lo)
+    if len(pay):
+        step = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, 0)
+        pay[rng.integers(len(pay))] += step
+    return Outcome(tuple(alloc), tuple(float(p) for p in pay))
+
+
+def _random_cases(rng):
+    for _ in range(400):
+        n = int(rng.integers(2, 61))
+        values = tuple(np.sort(rng.uniform(0.3, 3.0, n))[::-1])
+        alloc = tuple(np.sort(rng.random(n))[::-1])
+        yield values, _band_outcome(rng, values, alloc)
+        pay = tuple(rng.uniform(0.0, 1.0, n))
+        yield values, Outcome(tuple(rng.random(n)), pay)
+
+
+def _tied_cases(rng):
+    # equal slopes with different payments: only the cheapest line counts
+    for _ in range(300):
+        n = int(rng.integers(2, 31))
+        values = tuple(np.round(np.sort(rng.uniform(0.3, 3.0, n))[::-1], 1))
+        alloc = tuple(np.round(np.sort(rng.random(n))[::-1], 1))
+        yield values, _band_outcome(rng, values, alloc)
+        pay = np.round(rng.uniform(0.0, 1.0, n), 1)
+        yield values, Outcome(alloc, tuple(float(p) for p in pay))
+
+
+def _zero_alloc_cases(rng):
+    for _ in range(200):
+        n = int(rng.integers(1, 21))
+        k = int(rng.integers(0, n + 1))
+        values = tuple(np.sort(rng.uniform(0.0, 2.0, n))[::-1])
+        alloc = tuple(np.sort(rng.random(k))[::-1]) + (0.0,) * (n - k)
+        yield values, _band_outcome(rng, values, alloc)
+        pay = tuple(float(p) for p in rng.uniform(-1e-8, 1e-8, n))
+        yield values, Outcome((0.0,) * n, pay)
+
+
+def _unsorted_value_cases(rng):
+    for _ in range(200):
+        n = int(rng.integers(2, 31))
+        values = tuple(rng.uniform(0.0, 3.0, n))
+        alloc = tuple(np.sort(rng.random(n))[::-1])
+        pay = max_payments(sorted(values, reverse=True), alloc)
+        yield values, Outcome(alloc, pay)
+        yield values, _band_outcome(rng, values, alloc)
+
+
+def _tiny_cases(rng):
+    yield (), Outcome((), ())
+    for _ in range(50):
+        v, x = float(rng.uniform(0.0, 2.0)), float(rng.random())
+        for p in (0.0, v * x, v * x + 1e-10, v * x + 1e-8, -1.0):
+            yield (v,), Outcome((x,), (p,))
+
+
+def _nudged_clinching_cases(rng):
+    """closed_form and run_clock outcomes with one payment moved by half
+    and by twice the slack, in both directions."""
+    for _ in range(60):
+        inst = draw_instance(rng, 12)
+        for outcome in (closed_form(inst)[0], run_clock(inst)[0]):
+            yield inst.values, outcome
+            slack = 1e-9 * (
+                1.0
+                + max(inst.values[0], 1.0) * max(max(outcome.alloc), 1.0)
+                + max(abs(p) for p in outcome.pay)
+            )
+            k = int(rng.integers(inst.n))
+            for factor in (0.5, -0.5, 2.0, -2.0):
+                pay = list(outcome.pay)
+                pay[k] += factor * slack
+                yield inst.values, Outcome(outcome.alloc, tuple(pay))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [_random_cases, _tied_cases, _zero_alloc_cases, _unsorted_value_cases,
+     _tiny_cases, _nudged_clinching_cases],
+)
+def test_envelope_matches_pairwise_predicate(family):
+    rng = np.random.default_rng(2011)
+    verdicts = []
+    for values, outcome in family(rng):
+        expected = _pairwise_envy_free(values, outcome)
+        assert is_envy_free(values, outcome) == expected, (values, outcome)
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
 
 
 # ----------------------------------------------------------------------
