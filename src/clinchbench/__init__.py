@@ -15,7 +15,6 @@ from .core import (
     Outcome,
     PositionEnvironment,
     ValuationProfile,
-    make_instance,
     outcome_revenue,
     outcome_welfare,
     parse_instance,
@@ -71,7 +70,6 @@ __all__ = [
     "efo_welfare",
     "iron",
     "is_envy_free",
-    "make_instance",
     "max_payments",
     "min_payments",
     "nobudget_factor",

@@ -21,7 +21,7 @@ from . import clinching, envyfree, oracle, profit
 from .core import (
     BudgetedInstance,
     InstanceError,
-    make_instance,
+    normalize,
     outcome_revenue,
     outcome_welfare,
     parse_instance,
@@ -72,7 +72,7 @@ def tight_instance(N: int, eps: float = 1e-6) -> BudgetedInstance:
         raise ValueError("eps must lie in [0, N)")
     values = [float(N) ** 3] + [float(N)] * (N - 1) + [float(N) - eps]
     weights = [1.0] + [0.0] * N
-    return make_instance(values, weights, 1.0)
+    return normalize(values, weights, 1.0)
 
 
 def tight_ratio_formula(N: int) -> float:
@@ -85,7 +85,7 @@ def sampled_instance(rng: np.random.Generator, n: int,
     """Random n-agent instance mixing unit-supply, tied and smooth position
     weights; roughly one budget in ten is infinite."""
     if n <= 0:
-        return make_instance((), (), 1.0)
+        return normalize((), (), 1.0)
     if dist == "exponential":
         values = np.sort(rng.exponential(1.0, n))[::-1] + 0.05
     else:
@@ -102,7 +102,7 @@ def sampled_instance(rng: np.random.Generator, n: int,
     budget = float(rng.uniform(0.05, 2.0))
     if rng.random() < 0.1:
         budget = math.inf
-    return make_instance([float(v) for v in values], weights, budget)
+    return normalize([float(v) for v in values], weights, budget)
 
 
 # ----------------------------------------------------------------------
@@ -243,12 +243,7 @@ def cmd_run(args) -> int:
     elif mech == "pseudo-vickrey":
         out = profit.pseudo_vickrey(inst)
         if args.oracle and inst.n:
-            top = make_instance(
-                inst.values,
-                (inst.weights[0],) + (0.0,) * (inst.n - 1),
-                inst.budget,
-            )
-            sim = oracle.simulate_clock(top, args.step)
+            sim = oracle.simulate_clock(profit.top_slot_instance(inst), args.step)
             doc["oracle"] = _clock_doc(out, sim, args.step)
     else:
         out = profit.combined_mechanism(inst, args.q, args.seed)
@@ -299,18 +294,9 @@ def _exp_bspe(args) -> int:
     values = [float(v) for v in np.sort(rng.uniform(1.0, 2.0, n))[::-1]]
     k = max(1, n // 2)
     weights = [1.0] * k + [0.0] * (n - k)
-    inst = make_instance(values, weights, 0.8)
+    inst = normalize(values, weights, 0.8)
     q = args.q
-    if inst.n >= 2:
-        minus = make_instance(inst.values[1:], inst.weights[:inst.n - 1],
-                              inst.budget)
-        single = make_instance((inst.values[1],), (inst.weights[0],),
-                               inst.budget)
-        rhs = ((1.0 - q) * q * envyfree.efo_revenue(minus).objective
-               - q * (1.0 - q) / (1.0 - 2.0 * q) ** 2
-               * envyfree.efo_revenue(single).objective)
-    else:
-        rhs = 0.0
+    rhs = profit.bspe_guarantee(inst, q)
     revs = np.empty(args.trials)
     rows = []
     for t in range(args.trials):

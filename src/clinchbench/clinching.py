@@ -90,9 +90,7 @@ def run_clock(inst: BudgetedInstance):
     n = inst.n
     values = inst.values
     budget = inst.budget
-    supply = [0.0]
-    for w in inst.weights:
-        supply.append(supply[-1] + w)
+    supply = (0.0,) + inst.env.cumulative_supply()
     if n == 0:
         return Outcome((), ()), ClinchingTrace(())
     events = []
@@ -186,9 +184,7 @@ def closed_form(inst: BudgetedInstance):
     values = inst.values
     budget = inst.budget
     weights = inst.weights
-    supply = [0.0]
-    for w in weights:
-        supply.append(supply[-1] + w)
+    supply = (0.0,) + inst.env.cumulative_supply()
     if n == 0:
         return Outcome((), ()), ClinchingStructure(0, 0.0, 0.0)
     if budget <= 0.0:
@@ -196,15 +192,16 @@ def closed_form(inst: BudgetedInstance):
         alloc = tuple([base] * n)
         return Outcome(alloc, tuple([0.0] * n)), ClinchingStructure(n, 0.0, 0.0)
 
-    # tail[i] = sum_{j>i} v_j (w_{j-1} - w_j): payments accumulated by an
-    # agent active through the supply-release phase down to window i.
-    tail = [0.0] * (n + 1)
-    for j in range(n, 1, -1):
-        tail[j - 1] = tail[j] + values[j - 1] * (weights[j - 2] - weights[j - 1])
+    # tail[i - 1] = sum_{j>i} v_j (w_{j-1} - w_j), the minimum envy-free
+    # payment of rank i under the weights: what an agent active through the
+    # supply-release phase down to window i has paid.
+    tail = min_payments(values, weights)
+    # ironed top payments B_i = v_{i+1} (S_i / i - w_i) + tail[i - 1],
+    # non-increasing in i with B_n = 0
     thresholds = [0.0] * (n + 1)
     for i in range(1, n + 1):
         v_next = values[i] if i < n else 0.0
-        thresholds[i] = v_next * (supply[i] / i - weights[i - 1]) + tail[i]
+        thresholds[i] = v_next * (supply[i] / i - weights[i - 1]) + tail[i - 1]
     k = n
     for i in range(1, n + 1):
         if thresholds[i] < budget:
@@ -212,16 +209,12 @@ def closed_form(inst: BudgetedInstance):
             break
 
     if k == 1:
-        alloc = tuple(weights)
-        return (
-            Outcome(alloc, min_payments(values, alloc)),
-            ClinchingStructure(1, 0.0, 0.0),
-        )
+        return Outcome(weights, tail), ClinchingStructure(1, 0.0, 0.0)
 
     v_k = values[k - 1]
     v_next = values[k] if k < n else 0.0
     phi_k = weights[k - 1]
-    b_entry = budget - tail[k]
+    b_entry = budget - tail[k - 1]
     s_k = supply[k] - k * phi_k
     s_prev = supply[k - 1] - (k - 1) * phi_k
     p_bind = (k - 1) * b_entry / max(s_prev, 1e-300)
@@ -248,10 +241,10 @@ def closed_form(inst: BudgetedInstance):
         alloc[i] = x_k + delta
         pay[i] = budget
     alloc[k - 1] = x_k
-    pay[k - 1] = tail[k] + v_next * extra + grad_pay
+    pay[k - 1] = tail[k - 1] + v_next * extra + grad_pay
     for i in range(k, n):
         alloc[i] = weights[i]
-        pay[i] = tail[i + 1]
+        pay[i] = tail[i]
     return (
         Outcome(tuple(alloc), tuple(pay)),
         ClinchingStructure(k, delta, start),

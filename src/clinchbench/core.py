@@ -24,13 +24,11 @@ class InstanceError(ValueError):
 
 
 def _as_floats(xs: Sequence[float], what: str) -> tuple[float, ...]:
-    out = []
-    for x in xs:
-        fx = float(x)
-        if math.isnan(fx):
+    out = tuple(map(float, xs))
+    for x in out:
+        if x != x:  # NaN; cheaper than math.isnan per entry
             raise InstanceError(f"{what} contains NaN")
-        out.append(fx)
-    return tuple(out)
+    return out
 
 
 # ======================================================================
@@ -70,12 +68,6 @@ class PositionEnvironment:
             acc += w
             out.append(acc)
         return tuple(out)
-
-    def average_top(self, i: int) -> float:
-        """Mean weight over the top i positions (1-based i)."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"position {i} out of range 1..{self.n}")
-        return self.cumulative_supply()[i - 1] / i
 
 
 @dataclass(frozen=True)
@@ -175,37 +167,9 @@ def normalize(values: Sequence[float], weights: Sequence[float],
     )
 
 
-def make_instance(values: Sequence[float], weights: Sequence[float],
-                  budget: float) -> BudgetedInstance:
-    """Alias of :func:`normalize` for call sites that read better this way."""
-    return normalize(values, weights, budget)
-
-
 # ======================================================================
 # Instance-level quantities
 # ======================================================================
-
-
-def ironed_top_payment(inst: BudgetedInstance, i: int) -> float:
-    """Minimum envy-free top payment when the top i positions are averaged.
-
-    B_i = v_{i+1} (xbar_i - w_i) + sum_{j>i} v_j (w_{j-1} - w_j), with
-    v_{n+1} = 0.  Non-increasing in i, and B_n = 0.  1-based i.
-    """
-    n = inst.n
-    if not 1 <= i <= n:
-        raise IndexError(f"index {i} out of range 1..{n}")
-    v, w = inst.values, inst.weights
-    v_next = v[i] if i < n else 0.0
-    total = v_next * (inst.env.average_top(i) - w[i - 1])
-    for j in range(i + 1, n + 1):
-        total += v[j - 1] * (w[j - 2] - w[j - 1])
-    return total
-
-
-def ironed_top_payments(inst: BudgetedInstance) -> tuple[float, ...]:
-    """All of B_1..B_n in one pass."""
-    return tuple(ironed_top_payment(inst, i) for i in range(1, inst.n + 1))
 
 
 def feasible(env: PositionEnvironment, alloc: Sequence[float],

@@ -4,10 +4,19 @@ Welfare and revenue benchmarks over envy-free outcomes are computed by a
 multiplier characterization: penalize the top payment, iron the resulting
 virtual-value curve, and mix the two tie-break extremes of the optimizer
 set so the top payment lands exactly on the budget.
+
+The two benchmarks share that machinery and differ only through a private
+frozen record per objective (``_WELFARE``, ``_REVENUE``): the curve to iron
+(``welfare_curve`` or ``revenue_curve``), the payment rule (``min_payments``
+or ``max_payments``), the coefficients of the top payment as a linear form
+in the allocation, the objective value of an outcome, and the allocation
+used when the budget is slack (the weights, or the p_1-maximal optimizer at
+multiplier zero).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -16,6 +25,7 @@ from .core import (
     BudgetedInstance,
     Outcome,
     ValuationProfile,
+    _as_floats,
     outcome_revenue,
     outcome_welfare,
     zero_outcome,
@@ -26,21 +36,19 @@ from .core import (
 TIE_RTOL = 1e-9
 # Relative bracket width at which the multiplier bisection stops.
 BRACKET_RTOL = 1e-10
-# Allowed |p_1 - B| slack on benchmark outcomes.
-BUDGET_TOL = 1e-8
 
 
-def _as_float_list(xs, what):
-    out = [float(x) for x in xs]
-    if any(x != x for x in out):
-        raise ValueError(f"{what} must not contain NaN")
-    return out
-
-
-def _require_monotone(alloc):
-    for a, b in zip(alloc, alloc[1:]):
+def _band_inputs(values, alloc):
+    # Shared validation of the payment-band rules: floats, equal lengths,
+    # and a non-increasing (swap-monotone) allocation.
+    vs = _as_floats(values, "values")
+    xs = _as_floats(alloc, "alloc")
+    if len(vs) != len(xs):
+        raise ValueError("values and alloc must have equal length")
+    for a, b in zip(xs, xs[1:]):
         if b > a + ABS_TOL * (1.0 + abs(a)):
             raise ValueError("allocation is not swap monotone")
+    return vs, xs
 
 
 def min_payments(values, alloc):
@@ -49,11 +57,7 @@ def min_payments(values, alloc):
     p_i = sum_{j>i} (x_{j-1} - x_j) v_j: each agent pays the value lower
     agents place on the service she takes away from them.
     """
-    vs = _as_float_list(values, "values")
-    xs = _as_float_list(alloc, "alloc")
-    if len(vs) != len(xs):
-        raise ValueError("values and alloc must have equal length")
-    _require_monotone(xs)
+    vs, xs = _band_inputs(values, alloc)
     n = len(vs)
     pays = [0.0] * n
     for i in range(n - 1, 0, -1):
@@ -66,11 +70,7 @@ def max_payments(values, alloc):
 
     p_i = sum_{j>=i} (x_j - x_{j+1}) v_j with x_{n+1} = 0.
     """
-    vs = _as_float_list(values, "values")
-    xs = _as_float_list(alloc, "alloc")
-    if len(vs) != len(xs):
-        raise ValueError("values and alloc must have equal length")
-    _require_monotone(xs)
+    vs, xs = _band_inputs(values, alloc)
     n = len(vs)
     if n == 0:
         return ()
@@ -94,7 +94,7 @@ def is_envy_free(values, outcome, tol=1e-9):
     time and O(n) memory; ``oracle.exhaustive_envy_check`` is the
     quadratic pairwise reference.
     """
-    vs = _as_float_list(values, "values")
+    vs = _as_floats(values, "values")
     xs = outcome.alloc
     ps = outcome.pay
     if len(vs) != len(xs):
@@ -133,34 +133,9 @@ def is_envy_free(values, outcome, tol=1e-9):
     return True
 
 
-def lagrangian_virtuals_welfare(values, lam):
-    """Welfare virtual values when the top payment carries penalty ``lam``."""
-    vs = _as_float_list(values, "values")
-    n = len(vs)
-    if n == 0:
-        return ()
-    out = [vs[0] - lam * (vs[1] if n > 1 else 0.0)]
-    for i in range(1, n):
-        nxt = vs[i + 1] if i + 1 < n else 0.0
-        out.append(vs[i] + lam * (vs[i] - nxt))
-    return tuple(out)
-
-
-def lagrangian_virtuals_revenue(values, lam):
-    """Revenue virtual values when the top payment carries penalty ``lam``."""
-    vs = _as_float_list(values, "values")
-    n = len(vs)
-    if n == 0:
-        return ()
-    out = [(1.0 - lam) * vs[0]]
-    for i in range(2, n + 1):
-        out.append((i - lam) * vs[i - 1] - (i - 1 - lam) * vs[i - 2])
-    return tuple(out)
-
-
 def welfare_curve(values, lam):
     """Cumulative welfare-virtual curve R(0..n); R(j) = sum v_i - lam*v_{j+1}."""
-    vs = _as_float_list(values, "values")
+    vs = _as_floats(values, "values")
     n = len(vs)
     curve = [-lam * (vs[0] if n else 0.0)]
     run = 0.0
@@ -173,7 +148,7 @@ def welfare_curve(values, lam):
 
 def revenue_curve(values, lam):
     """Cumulative revenue-virtual curve R(0..n); R(j) = (j - lam) v_j."""
-    vs = _as_float_list(values, "values")
+    vs = _as_floats(values, "values")
     curve = [0.0]
     for j in range(1, len(vs) + 1):
         curve.append((j - lam) * vs[j - 1])
@@ -224,7 +199,7 @@ def iron(curve, multiplier=0.0):
     zero, together with the per-position ironed virtuals (its increments)
     and the ironed intervals.
     """
-    raw = _as_float_list(curve, "curve")
+    raw = _as_floats(curve, "curve")
     if not raw:
         raise ValueError("curve must include the origin point")
     n = len(raw) - 1
@@ -257,19 +232,22 @@ def iron(curve, multiplier=0.0):
     )
 
 
-def _p1_coefficients(values, objective):
-    # Linear functional giving the top payment of a monotone allocation:
-    # minimum payments for the welfare benchmark, maximum for revenue.
+def _welfare_p1(values):
+    # Top minimum payment as a linear form in the allocation:
+    # p_1 = sum_{j>1} (x_{j-1} - x_j) v_j.
     n = len(values)
-    if objective == "welfare":
-        if n == 1:
-            return [0.0]
-        c = [values[1]]
-        c.extend(values[j + 1] - values[j] for j in range(1, n - 1))
-        c.append(-values[n - 1])
-        return c
+    if n == 1:
+        return [0.0]
+    c = [values[1]]
+    c.extend(values[j + 1] - values[j] for j in range(1, n - 1))
+    c.append(-values[n - 1])
+    return c
+
+
+def _revenue_p1(values):
+    # Top maximum payment: p_1 = sum_j (x_j - x_{j+1}) v_j.
     c = [values[0]]
-    c.extend(values[j] - values[j - 1] for j in range(1, n))
+    c.extend(values[j] - values[j - 1] for j in range(1, len(values)))
     return c
 
 
@@ -324,17 +302,11 @@ def _arm(inst, lam, objective, maximize):
     """Extreme-p_1 optimizer of the ironed Lagrangian at multiplier lam."""
     values = list(inst.values)
     n = inst.n
-    supply = [0.0]
-    for w in inst.weights:
-        supply.append(supply[-1] + w)
-    if objective == "welfare":
-        curve = welfare_curve(values, lam)
-    else:
-        curve = revenue_curve(values, lam)
-    res = iron(curve, lam)
+    supply = (0.0,) + inst.env.cumulative_supply()
+    res = iron(objective.curve(values, lam), lam)
     verts = res.vertices
     height = res.ironed_curve
-    coeffs = _p1_coefficients(values, objective)
+    coeffs = objective.p1(values)
     csum = [0.0]
     for c in coeffs:
         csum.append(csum[-1] + c)
@@ -390,10 +362,33 @@ class BenchmarkResult:
     mix: float
 
 
-def _objective_value(inst, outcome, objective):
-    if objective == "welfare":
-        return outcome_welfare(inst, outcome)
-    return outcome_revenue(outcome)
+@dataclass(frozen=True)
+class _Objective:
+    """One benchmark objective (see the module docstring).  Called as
+    ``curve(values, lam)``, ``payments(values, alloc)``, ``p1(values)``,
+    ``value(inst, outcome)`` and ``slack_alloc(inst)``."""
+
+    curve: Callable
+    payments: Callable
+    p1: Callable
+    value: Callable
+    slack_alloc: Callable
+
+
+_WELFARE = _Objective(
+    curve=welfare_curve,
+    payments=min_payments,
+    p1=_welfare_p1,
+    value=outcome_welfare,
+    slack_alloc=lambda inst: list(inst.weights),
+)
+_REVENUE = _Objective(
+    curve=revenue_curve,
+    payments=max_payments,
+    p1=_revenue_p1,
+    value=lambda inst, outcome: outcome_revenue(outcome),
+    slack_alloc=lambda inst: _arm(inst, 0.0, _REVENUE, True)[0],
+)
 
 
 def _benchmark(inst, objective):
@@ -404,16 +399,11 @@ def _benchmark(inst, objective):
         return BenchmarkResult(Outcome((), ()), 0.0, 0.0, 1.0)
     if budget <= 0.0:
         return BenchmarkResult(zero_outcome(n), 0.0, 0.0, 1.0)
-    pay_fn = min_payments if objective == "welfare" else max_payments
-    if objective == "welfare":
-        x0 = list(inst.weights)
-    else:
-        x0, _ = _arm(inst, 0.0, objective, True)
-    p0 = pay_fn(values, x0)
+    x0 = objective.slack_alloc(inst)
+    p0 = objective.payments(values, x0)
     if not p0 or p0[0] <= budget:
         outcome = Outcome(tuple(x0), p0)
-        value = _objective_value(inst, outcome, objective)
-        return BenchmarkResult(outcome, value, 0.0, 1.0)
+        return BenchmarkResult(outcome, objective.value(inst, outcome), 0.0, 1.0)
 
     def fits(lam):
         return _arm(inst, lam, objective, False)[1] <= budget
@@ -442,19 +432,18 @@ def _benchmark(inst, objective):
         theta = (budget - pmin) / (pmax - pmin)
         theta = min(1.0, max(0.0, theta))
     xs = tuple(theta * a + (1.0 - theta) * b for a, b in zip(xmax, xmin))
-    outcome = Outcome(xs, pay_fn(values, xs))
-    value = _objective_value(inst, outcome, objective)
-    return BenchmarkResult(outcome, value, hi, theta)
+    outcome = Outcome(xs, objective.payments(values, xs))
+    return BenchmarkResult(outcome, objective.value(inst, outcome), hi, theta)
 
 
 def efo_welfare(inst: BudgetedInstance) -> BenchmarkResult:
     """Optimal envy-free welfare under the common budget."""
-    return _benchmark(inst, "welfare")
+    return _benchmark(inst, _WELFARE)
 
 
 def efo_revenue(inst: BudgetedInstance) -> BenchmarkResult:
     """Optimal envy-free revenue under the common budget."""
-    return _benchmark(inst, "revenue")
+    return _benchmark(inst, _REVENUE)
 
 
 def efo2_revenue(inst: BudgetedInstance) -> float:

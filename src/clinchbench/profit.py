@@ -27,7 +27,7 @@ from .core import (
     InstanceError,
     Outcome,
     PositionEnvironment,
-    make_instance,
+    normalize,
     zero_outcome,
 )
 from .envyfree import efo_revenue
@@ -123,7 +123,7 @@ def _estimate_allocation(
     if k == 0:
         return ()
     weights = (env.weights + (0.0,) * k)[:k]
-    inst = make_instance(estimate, weights, budget)
+    inst = normalize(estimate, weights, budget)
     return efo_revenue(inst).outcome.alloc
 
 
@@ -142,7 +142,7 @@ def clinching_profit_extractor(estimate, actual, budget: float,
         return Outcome((), ())
     levels = _estimate_allocation(estimate, env, budget)
     weights = (levels + (0.0,) * len(actual))[: len(actual)]
-    outcome, _ = closed_form(make_instance(actual, weights, budget))
+    outcome, _ = closed_form(normalize(actual, weights, budget))
     return outcome
 
 
@@ -233,6 +233,20 @@ def bspe_budget(inst: BudgetedInstance, q: float, seed) -> Outcome:
     return Outcome(tuple(alloc), tuple(pay))
 
 
+def bspe_guarantee(inst: BudgetedInstance, q: float) -> float:
+    """Lower bound on the expected revenue of ``bspe_budget`` at coin q,
+    (1-q) q EFO(v_2..v_n; w_1..w_{n-1}) - q (1-q) / (1-2q)^2 EFO(v_2; w_1)
+    with EFO = ``efo_revenue``, or zero below two agents."""
+    _check_coin(q)
+    if inst.n < 2:
+        return 0.0
+    dropped = normalize(inst.values[1:], inst.weights[:inst.n - 1], inst.budget)
+    single = normalize((inst.values[1],), (inst.weights[0],), inst.budget)
+    return ((1.0 - q) * q * efo_revenue(dropped).objective
+            - q * (1.0 - q) / (1.0 - 2.0 * q) ** 2
+            * efo_revenue(single).objective)
+
+
 def _tail_maximum(q: float, forced_down: bool, rng: np.random.Generator) -> int:
     """Running maximum M >= 0 of the +1/-1 walk over an infinite tail that
     steps up with probability q: P(M >= m) = r^m with r = q/(1-q).  With
@@ -303,13 +317,17 @@ def bspe_nobudget(inst: BudgetedInstance, q: float, seed,
     return Outcome(tuple(alloc), tuple(pay))
 
 
+def top_slot_instance(inst: BudgetedInstance) -> BudgetedInstance:
+    """The same agents and budget with the weights cut to (w1, 0, ..., 0)."""
+    weights = (inst.weights[0],) + (0.0,) * (inst.n - 1)
+    return normalize(inst.values, weights, inst.budget)
+
+
 def pseudo_vickrey(inst: BudgetedInstance) -> Outcome:
-    """Sell the top slot only: clinching against weights (w1, 0, ..., 0)."""
-    n = inst.n
-    if n == 0:
+    """Sell the top slot only: clinching on ``top_slot_instance``."""
+    if inst.n == 0:
         return Outcome((), ())
-    weights = (inst.weights[0],) + (0.0,) * (n - 1)
-    outcome, _ = closed_form(make_instance(inst.values, weights, inst.budget))
+    outcome, _ = closed_form(top_slot_instance(inst))
     return outcome
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from clinchbench.core import BudgetedInstance, make_instance
+from clinchbench.core import BudgetedInstance, normalize
 
 
 def draw_instance(rng: np.random.Generator, n_max: int,
@@ -29,10 +29,10 @@ def draw_instance(rng: np.random.Generator, n_max: int,
     budget = float(rng.uniform(0.1, 1.0))
     if allow_inf and rng.random() < 0.1:
         budget = float("inf")
-    return make_instance([float(v) for v in values], weights, budget)
+    return normalize([float(v) for v in values], weights, budget)
 
 
 @pytest.fixture
 def worked() -> BudgetedInstance:
     """The standing worked example: values (4,3,2), two unit slots, B=1."""
-    return make_instance((4.0, 3.0, 2.0), (1.0, 1.0, 0.0), 1.0)
+    return normalize((4.0, 3.0, 2.0), (1.0, 1.0, 0.0), 1.0)

@@ -14,7 +14,7 @@ import pytest
 from clinchbench import oracle, profit
 from clinchbench.cli import entry, tight_instance, tight_ratio_formula
 from clinchbench.clinching import closed_form, run_clock, structure_check
-from clinchbench.core import make_instance, outcome_revenue, outcome_welfare
+from clinchbench.core import normalize, outcome_revenue, outcome_welfare
 from clinchbench.envyfree import efo2_revenue, efo_revenue, efo_welfare
 from clinchbench.profit import trial_rng
 from conftest import draw_instance
@@ -33,7 +33,7 @@ def _family_instance(seed=3, n=8):
     rng = np.random.default_rng(seed)
     values = tuple(sorted((float(v) for v in rng.uniform(1.0, 2.0, n)), reverse=True))
     weights = (1.0,) * (n // 2) + (0.0,) * (n - n // 2)
-    return make_instance(values, weights, 0.8)
+    return normalize(values, weights, 0.8)
 
 
 def test_c01_welfare_benchmark_matches_lp():
@@ -109,7 +109,7 @@ def test_c05_structure_and_own_bid_monotonicity():
             j = int(rng.integers(0, inst.n))
             bumped = list(caller_values)
             bumped[j] += float(rng.uniform(0.0, 0.6))
-            alt = make_instance(bumped, inst.weights, inst.budget)
+            alt = normalize(bumped, inst.weights, inst.budget)
             outcome, _ = closed_form(alt)
             assert structure_check(alt, outcome) == [], alt
             before = base.alloc[inst.order.index(j)]
@@ -132,7 +132,7 @@ def _pair(rng):
 
 def _estimate_reference(estimate, env, budget):
     weights = (env.weights + (0.0,) * len(estimate))[: len(estimate)]
-    return efo_revenue(make_instance(estimate, weights, budget)).outcome.pay
+    return efo_revenue(normalize(estimate, weights, budget)).outcome.pay
 
 
 def test_c06_extractor_payment_floors():
@@ -184,11 +184,7 @@ def test_c07_walk_statistics():
 def test_c08_sampling_revenue_bounds():
     q = 0.25
     inst = _family_instance()
-    n = inst.n
-    dropped = make_instance(inst.values[1:], inst.weights[: n - 1], inst.budget)
-    single = make_instance((inst.values[1],), (inst.weights[0],), inst.budget)
-    rhs = (1.0 - q) * q * efo_revenue(dropped).objective
-    rhs -= q * (1.0 - q) / (1.0 - 2.0 * q) ** 2 * efo_revenue(single).objective
+    rhs = profit.bspe_guarantee(inst, q)
     revenues = [
         outcome_revenue(profit.bspe_budget(inst, q, trial_rng(11, t)))
         for t in range(10_000)
@@ -207,7 +203,7 @@ def test_c08_sampling_revenue_bounds():
     mean, se = _mean_se(revenues)
     assert mean >= efo2_revenue(inst) / factor - 3.0 * se
 
-    unlimited = make_instance(inst.values, inst.weights, math.inf)
+    unlimited = normalize(inst.values, inst.weights, math.inf)
     revenues = [
         outcome_revenue(profit.bspe_nobudget(unlimited, 0.268, trial_rng(17, t)))
         for t in range(1000)
@@ -232,7 +228,7 @@ def test_c09_revenue_subadditivity():
         for side in (left, right):
             if side:
                 parts += efo_revenue(
-                    make_instance(side, inst.weights[: len(side)], inst.budget)
+                    normalize(side, inst.weights[: len(side)], inst.budget)
                 ).objective
         assert whole <= parts + 1e-6, (inst, mask)
         done += 1

@@ -9,9 +9,10 @@ from clinchbench.cli import (
     tight_ratio_formula,
     _parse_span,
 )
-from clinchbench.core import parse_instance, serialize_instance
+from clinchbench.core import parse_instance, serialize_instance, serialize_outcome
 from clinchbench.clinching import closed_form
 from clinchbench.envyfree import efo_welfare
+from clinchbench.profit import pseudo_vickrey
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +162,29 @@ def test_run_bspe_nobudget_document(tmp_path):
         assert v * x - p >= -1e-9
 
 
+def test_run_pseudo_vickrey_oracle(tmp_path):
+    values = [3.0, 5.0, 2.0, 4.0]  # unsorted: the outcome keeps this order
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps({"values": values, "weights": [0.8, 0.5, 0.3, 0.1],
+                                "budget": 1.5}))
+    out = tmp_path / "run.json"
+    rc = entry(["run", "pseudo-vickrey", str(path), "--oracle", "--step", "1e-4",
+                "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["oracle"]["kind"] == "clock"
+    assert doc["oracle"]["step"] == 1e-4
+    # the tick clock lags by one step: step * S_n / min(v_n, B) on the
+    # top-slot instance, whose only supply is the top weight
+    alloc_tol = 1e-4 * 0.8 / min(2.0, 1.5)
+    assert doc["oracle"]["max_alloc_delta"] <= alloc_tol
+    assert doc["oracle"]["max_pay_delta"] <= alloc_tol * 5.0
+    inst = parse_instance(path.read_text())
+    expected = json.loads(serialize_outcome(inst, pseudo_vickrey(inst)))
+    assert doc["outcome"] == expected
+    assert doc["outcome"]["revenue"] > 0.0
+
+
 def test_run_reads_stdin(monkeypatch, capsys, worked):
     monkeypatch.setattr("sys.stdin", io.StringIO(serialize_instance(worked)))
     assert entry(["run", "clinching", "-"]) == 0
@@ -260,4 +284,6 @@ def test_experiment_failed_bound_exits_one(tmp_path, monkeypatch):
 def test_experiment_config_errors(capsys):
     assert entry(["experiment", "welfare-approx", "--trials", "0"]) == 2
     assert entry(["experiment", "tight-ratio", "--N", "1..5"]) == 2
+    # the guarantee's (1 - 2q)^2 denominator vanishes at q = 0.5
+    assert entry(["experiment", "bspe-revenue", "--trials", "2", "--q", "0.5"]) == 2
     capsys.readouterr()

@@ -11,7 +11,7 @@ from clinchbench.clinching import (
     run_clock,
     structure_check,
 )
-from clinchbench.core import Outcome, make_instance, outcome_revenue
+from clinchbench.core import Outcome, normalize, outcome_revenue
 from clinchbench.envyfree import is_envy_free, min_payments
 from conftest import draw_instance
 
@@ -88,7 +88,7 @@ def test_worked_clock_trace(worked):
 
 
 def test_single_item_fixture():
-    inst = make_instance((5.0, 3.0), (1.0, 0.0), 2.0)
+    inst = normalize((5.0, 3.0), (1.0, 0.0), 2.0)
     outcome, structure = closed_form(inst)
     assert outcome.alloc == pytest.approx((13 / 18, 5 / 18))
     assert outcome.pay == pytest.approx((2.0, 2 / 3))
@@ -98,12 +98,39 @@ def test_single_item_fixture():
 
 
 # ----------------------------------------------------------------------
+# Pivot
+# ----------------------------------------------------------------------
+
+
+def test_pivot_worked_fixture(worked):
+    # ironed top payments (2, 2, 0): the pivot k is the first rank whose
+    # threshold falls strictly below the budget
+    for budget, k in ((2.5, 1), (2.0, 3), (1.0, 3)):
+        inst = normalize(worked.values, worked.weights, budget)
+        assert closed_form(inst)[1].k == k, budget
+    slack, _ = closed_form(normalize(worked.values, worked.weights, 2.5))
+    assert slack.alloc == worked.weights
+    assert slack.pay == (2.0, 2.0, 0.0)
+
+
+def test_pivot_never_rises_with_budget():
+    rng = np.random.default_rng(21)
+    for _ in range(80):
+        inst = draw_instance(rng, 9, allow_inf=False)
+        budgets = sorted(rng.uniform(0.0, 3.0, 12).tolist()) + [math.inf]
+        ks = [closed_form(normalize(inst.values, inst.weights, b))[1].k
+              for b in budgets]
+        assert all(a >= b for a, b in zip(ks, ks[1:])), (inst, ks)
+        assert ks[-1] == 1
+
+
+# ----------------------------------------------------------------------
 # Edge regimes
 # ----------------------------------------------------------------------
 
 
 def test_zero_budget_splits_the_last_weight():
-    inst = make_instance((4.0, 3.0, 2.0), (1.0, 1.0, 0.5), 0.0)
+    inst = normalize((4.0, 3.0, 2.0), (1.0, 1.0, 0.5), 0.0)
     outcome, structure = closed_form(inst)
     assert outcome.alloc == pytest.approx((0.5, 0.5, 0.5))
     assert outcome.pay == (0.0, 0.0, 0.0)
@@ -113,7 +140,7 @@ def test_zero_budget_splits_the_last_weight():
 
 
 def test_unconstrained_budget_is_assortative(worked):
-    inst = make_instance(worked.values, worked.weights, float("inf"))
+    inst = normalize(worked.values, worked.weights, float("inf"))
     outcome, structure = closed_form(inst)
     assert structure.k == 1
     assert outcome.alloc == pytest.approx(inst.weights)
@@ -124,10 +151,10 @@ def test_unconstrained_budget_is_assortative(worked):
 
 
 def test_trivial_sizes():
-    empty = make_instance((), (), 1.0)
+    empty = normalize((), (), 1.0)
     assert closed_form(empty)[0] == Outcome((), ())
     assert run_clock(empty)[0] == Outcome((), ())
-    solo = make_instance((10.0,), (1.0,), 3.0)
+    solo = normalize((10.0,), (1.0,), 3.0)
     outcome, structure = closed_form(solo)
     assert outcome.alloc == (1.0,)
     assert outcome.pay == (0.0,)
@@ -136,7 +163,7 @@ def test_trivial_sizes():
 
 def test_tied_values_agree_between_routes():
     # boundary of the hard family: the last two drop-outs collide
-    inst = make_instance((27.0, 3.0, 3.0, 3.0), (1.0, 0.0, 0.0, 0.0), 1.0)
+    inst = normalize((27.0, 3.0, 3.0, 3.0), (1.0, 0.0, 0.0, 0.0), 1.0)
     closed, _ = closed_form(inst)
     clock, _ = run_clock(inst)
     assert clock.alloc == pytest.approx(closed.alloc, abs=EQ_TOL)
@@ -197,7 +224,7 @@ def test_structure_check_flags_unequal_prefix(worked):
 
 
 def test_structure_check_flags_weight_deviation():
-    inst = make_instance((4.0, 3.0, 2.0), (1.0, 1.0, 0.0), float("inf"))
+    inst = normalize((4.0, 3.0, 2.0), (1.0, 1.0, 0.0), float("inf"))
     outcome, _ = closed_form(inst)
     bad = Outcome(outcome.alloc[:2] + (0.4,), outcome.pay)
     report = structure_check(inst, bad)

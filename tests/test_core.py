@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,9 +10,6 @@ from clinchbench.core import (
     PositionEnvironment,
     ValuationProfile,
     feasible,
-    ironed_top_payment,
-    ironed_top_payments,
-    make_instance,
     normalize,
     outcome_revenue,
     outcome_welfare,
@@ -22,7 +18,6 @@ from clinchbench.core import (
     serialize_outcome,
     zero_outcome,
 )
-from conftest import draw_instance
 
 TOL = 1e-9
 
@@ -46,13 +41,6 @@ class TestPositionEnvironment:
         assert supply == pytest.approx((1.0, 1.6, 2.2, 2.3))
         gaps = [b - a for a, b in zip((0.0,) + supply, supply)]
         assert all(g1 >= g2 - TOL for g1, g2 in zip(gaps, gaps[1:]))
-
-    def test_average_top(self):
-        env = PositionEnvironment((1.0, 0.5))
-        assert env.average_top(1) == 1.0
-        assert env.average_top(2) == 0.75
-        with pytest.raises(IndexError):
-            env.average_top(3)
 
 
 class TestValuationProfile:
@@ -111,25 +99,6 @@ class TestNormalize:
             normalize((3.0,), (0.5, 0.5), 1.0)
 
 
-class TestIronedTopPayments:
-    def test_worked_values(self, worked):
-        assert ironed_top_payments(worked) == pytest.approx((2.0, 2.0, 0.0))
-
-    def test_index_bounds(self, worked):
-        with pytest.raises(IndexError):
-            ironed_top_payment(worked, 0)
-        with pytest.raises(IndexError):
-            ironed_top_payment(worked, 4)
-
-    def test_nonincreasing_and_terminal_zero(self):
-        rng = np.random.default_rng(21)
-        for _ in range(80):
-            inst = draw_instance(rng, 9, allow_inf=False)
-            bs = ironed_top_payments(inst)
-            assert all(a >= b - 1e-9 for a, b in zip(bs, bs[1:]))
-            assert abs(bs[-1]) <= 1e-12
-
-
 class TestFeasible:
     def test_weights_are_feasible(self):
         env = PositionEnvironment((1.0, 0.4, 0.2))
@@ -160,14 +129,14 @@ def test_outcome_statistics(worked):
 
 class TestSerialization:
     def test_round_trip(self):
-        inst = make_instance((3.0, 2.0, 1.5), (1.0, 0.3), 0.7)
+        inst = normalize((3.0, 2.0, 1.5), (1.0, 0.3), 0.7)
         back = parse_instance(serialize_instance(inst))
         assert back.values == inst.values
         assert back.weights == inst.weights
         assert back.budget == inst.budget
 
     def test_infinite_budget_round_trip(self):
-        inst = make_instance((2.0,), (1.0,), float("inf"))
+        inst = normalize((2.0,), (1.0,), float("inf"))
         text = serialize_instance(inst)
         assert '"inf"' in text
         assert math.isinf(parse_instance(text).budget)
@@ -184,7 +153,7 @@ class TestSerialization:
                 {"values": [1], "weights": [1], "budget": "lots"}))
 
     def test_outcome_reported_in_caller_order(self):
-        inst = make_instance((2.0, 5.0), (1.0, 0.0), 1.0)
+        inst = normalize((2.0, 5.0), (1.0, 0.0), 1.0)
         doc = json.loads(serialize_outcome(inst, Outcome((0.9, 0.1), (1.0, 0.2))))
         # sorted rank 0 is the original agent 1
         assert doc["alloc"] == [0.1, 0.9]
@@ -192,7 +161,7 @@ class TestSerialization:
         assert doc["welfare"] == pytest.approx(2.0 * 0.1 + 5.0 * 0.9)
 
     def test_outcome_size_checked(self):
-        inst = make_instance((2.0, 1.0), (1.0,), 1.0)
+        inst = normalize((2.0, 1.0), (1.0,), 1.0)
         with pytest.raises(InstanceError):
             serialize_outcome(inst, Outcome((1.0,), (0.0,)))
 

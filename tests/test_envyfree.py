@@ -9,7 +9,7 @@ from clinchbench.clinching import closed_form, run_clock
 from clinchbench.core import (
     Outcome,
     feasible,
-    make_instance,
+    normalize,
     outcome_revenue,
     outcome_welfare,
 )
@@ -19,8 +19,6 @@ from clinchbench.envyfree import (
     efo_welfare,
     iron,
     is_envy_free,
-    lagrangian_virtuals_revenue,
-    lagrangian_virtuals_welfare,
     max_payments,
     min_payments,
     revenue_curve,
@@ -188,15 +186,17 @@ def test_envelope_matches_pairwise_predicate(family):
 
 
 def test_welfare_virtuals_fixture():
-    assert lagrangian_virtuals_welfare((4.0, 3.0, 2.0), 0.0) == (
+    assert iron(welfare_curve((4.0, 3.0, 2.0), 0.0)).virtual == (
         pytest.approx((4.0, 3.0, 2.0)))
-    assert lagrangian_virtuals_welfare((4.0, 3.0, 2.0), 1.0) == (
+    assert iron(welfare_curve((4.0, 3.0, 2.0), 1.0)).virtual == (
         pytest.approx((1.0, 4.0, 4.0)))
 
 
 def test_revenue_virtuals_fixture():
-    assert lagrangian_virtuals_revenue((4.0, 3.0, 2.0), 0.0) == (
+    assert iron(revenue_curve((4.0, 3.0, 2.0), 0.0)).virtual == (
         pytest.approx((4.0, 2.0, 0.0)))
+    assert revenue_curve((4.0, 3.0, 2.0), 1.0) == pytest.approx(
+        (0.0, 0.0, 3.0, 4.0))
 
 
 def test_curve_fixtures():
@@ -212,10 +212,17 @@ def test_virtual_prefix_sums_trace_the_curves():
         n = int(rng.integers(1, 9))
         values = tuple(np.sort(rng.uniform(0.0, 4.0, n))[::-1])
         lam = float(rng.uniform(0.0, 5.0))
-        wsum = np.cumsum(lagrangian_virtuals_welfare(values, lam))
-        assert wsum == pytest.approx(welfare_curve(values, lam)[1:], abs=1e-9)
-        rsum = np.cumsum(lagrangian_virtuals_revenue(values, lam))
-        assert rsum == pytest.approx(revenue_curve(values, lam)[1:], abs=1e-9)
+        nxt = values[1:] + (0.0,)
+        welfare = [values[0] - lam * nxt[0]]
+        welfare += [v + lam * (v - w) for v, w in zip(values[1:], nxt[1:])]
+        revenue = [(1.0 - lam) * values[0]]
+        revenue += [(j - lam) * values[j - 1] - (j - 1 - lam) * values[j - 2]
+                    for j in range(2, n + 1)]
+        for curve, expected in ((welfare_curve(values, lam), welfare),
+                                (revenue_curve(values, lam), revenue)):
+            virtual = iron(curve).virtual
+            assert virtual == pytest.approx(expected, abs=1e-9)
+            assert np.cumsum(virtual) == pytest.approx(curve[1:], abs=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -305,7 +312,7 @@ def test_worked_revenue_benchmark(worked):
 
 
 def test_value_tie_pair():
-    inst = make_instance((3.0, 3.0), (1.0, 0.0), 1.0)
+    inst = normalize((3.0, 3.0), (1.0, 0.0), 1.0)
     w = efo_welfare(inst)
     assert w.objective == pytest.approx(3.0, rel=REL)
     r = efo_revenue(inst)
@@ -315,7 +322,7 @@ def test_value_tie_pair():
 
 
 def test_single_agent():
-    inst = make_instance((10.0,), (1.0,), 3.0)
+    inst = normalize((10.0,), (1.0,), 3.0)
     assert efo_welfare(inst).objective == pytest.approx(10.0)
     assert efo_welfare(inst).outcome.pay == pytest.approx((0.0,), abs=1e-9)
     r = efo_revenue(inst)
@@ -324,14 +331,14 @@ def test_single_agent():
 
 
 def test_single_item_unlimited_budget_revenue():
-    inst = make_instance((3.0, 2.0), (1.0, 0.0), float("inf"))
+    inst = normalize((3.0, 2.0), (1.0, 0.0), float("inf"))
     res = efo_revenue(inst)
     assert res.objective == pytest.approx(3.0)
     assert res.outcome.alloc == pytest.approx((1.0, 0.0), abs=1e-9)
 
 
 def test_infinite_budget_welfare_is_greedy(worked):
-    inst = make_instance(worked.values, worked.weights, float("inf"))
+    inst = normalize(worked.values, worked.weights, float("inf"))
     res = efo_welfare(inst)
     assert res.objective == pytest.approx(7.0)
     assert res.outcome.alloc == pytest.approx(inst.weights)
@@ -339,7 +346,7 @@ def test_infinite_budget_welfare_is_greedy(worked):
 
 
 def test_zero_budget_gives_zero_outcome(worked):
-    inst = make_instance(worked.values, worked.weights, 0.0)
+    inst = normalize(worked.values, worked.weights, 0.0)
     for bench in (efo_welfare, efo_revenue):
         res = bench(inst)
         assert res.objective == 0.0
@@ -348,26 +355,26 @@ def test_zero_budget_gives_zero_outcome(worked):
 
 
 def test_empty_instance():
-    inst = make_instance((), (), 1.0)
+    inst = normalize((), (), 1.0)
     assert efo_welfare(inst).objective == 0.0
     assert efo_revenue(inst).outcome.alloc == ()
 
 
 def test_efo2_fixture():
-    inst = make_instance((100.0, 1.0), (1.0, 0.0), float("inf"))
+    inst = normalize((100.0, 1.0), (1.0, 0.0), float("inf"))
     assert efo2_revenue(inst) == pytest.approx(1.0)
 
 
 def test_efo2_matches_manual_substitution():
-    inst = make_instance((5.0, 3.0, 2.0), (1.0, 0.5, 0.0), 1.5)
-    twin = make_instance((3.0, 3.0, 2.0), (1.0, 0.5, 0.0), 1.5)
+    inst = normalize((5.0, 3.0, 2.0), (1.0, 0.5, 0.0), 1.5)
+    twin = normalize((3.0, 3.0, 2.0), (1.0, 0.5, 0.0), 1.5)
     assert efo2_revenue(inst) == pytest.approx(efo_revenue(twin).objective,
                                                rel=1e-9)
 
 
 def test_efo2_needs_two_agents():
     with pytest.raises(ValueError):
-        efo2_revenue(make_instance((1.0,), (1.0,), 1.0))
+        efo2_revenue(normalize((1.0,), (1.0,), 1.0))
 
 
 def test_matches_lp_oracle_on_random_instances():
@@ -395,7 +402,7 @@ def small_instances(draw):
         reverse=True,
     )
     budget = draw(st.one_of(st.floats(0.05, 3.0), st.just(float("inf"))))
-    return make_instance(values, weights, budget)
+    return normalize(values, weights, budget)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clinchbench.oracle
 from clinchbench.clinching import closed_form
-from clinchbench.core import Outcome, make_instance
+from clinchbench.core import Outcome, normalize
 from clinchbench.envyfree import is_envy_free
 from clinchbench.oracle import (
     InfeasibleError,
@@ -126,24 +129,24 @@ def test_lp_revenue_fixture(worked):
 
 
 def test_lp_welfare_unconstrained_is_greedy(worked):
-    inst = make_instance(worked.values, worked.weights, float("inf"))
+    inst = normalize(worked.values, worked.weights, float("inf"))
     assert lp_efo_welfare(inst) == pytest.approx(7.0, rel=1e-8)
 
 
 def test_lp_revenue_single_item_unlimited():
-    inst = make_instance((3.0, 2.0), (1.0, 0.0), float("inf"))
+    inst = normalize((3.0, 2.0), (1.0, 0.0), float("inf"))
     assert lp_efo_revenue(inst) == pytest.approx(3.0, rel=1e-8)
 
 
 def test_lp_empty_instance():
-    inst = make_instance((), (), 1.0)
+    inst = normalize((), (), 1.0)
     assert lp_efo_welfare(inst) == 0.0
     assert lp_efo_revenue(inst) == 0.0
 
 
 def test_lp_agent_cap():
     n = LP_AGENT_CAP + 1
-    inst = make_instance((1.0,) * n, (1.0,) * n, 1.0)
+    inst = normalize((1.0,) * n, (1.0,) * n, 1.0)
     with pytest.raises(ValueError):
         lp_efo_welfare(inst)
     with pytest.raises(ValueError):
@@ -161,11 +164,11 @@ def test_clock_rejects_bad_step(worked):
 
 
 def test_clock_empty_instance():
-    assert simulate_clock(make_instance((), (), 1.0), 0.1) == Outcome((), ())
+    assert simulate_clock(normalize((), (), 1.0), 0.1) == Outcome((), ())
 
 
 def test_clock_exact_without_budget_pressure(worked):
-    inst = make_instance(worked.values, worked.weights, float("inf"))
+    inst = normalize(worked.values, worked.weights, float("inf"))
     outcome = simulate_clock(inst, 0.25)
     exact, _ = closed_form(inst)
     assert outcome.alloc == pytest.approx(exact.alloc, abs=1e-12)
@@ -173,7 +176,7 @@ def test_clock_exact_without_budget_pressure(worked):
 
 
 def test_clock_zero_budget():
-    inst = make_instance((4.0, 3.0, 2.0), (1.0, 1.0, 0.5), 0.0)
+    inst = normalize((4.0, 3.0, 2.0), (1.0, 1.0, 0.5), 0.0)
     outcome = simulate_clock(inst, 0.1)
     assert outcome.alloc == pytest.approx((0.5, 0.5, 0.5))
     assert outcome.pay == (0.0, 0.0, 0.0)
@@ -227,3 +230,25 @@ def test_envy_check_agrees_with_band_predicate():
             v * x - p >= -1e-9 for v, x, p in zip(values, alloc, pay)
         )
         assert is_envy_free(values, outcome) == (not pairs and rational)
+
+
+# ----------------------------------------------------------------------
+# Independence
+# ----------------------------------------------------------------------
+
+
+def test_oracle_imports_no_checked_module():
+    """The referees stay independent of what they check: oracle.py imports
+    nothing from envyfree, clinching or profit, in any import form."""
+    tree = ast.parse(Path(clinchbench.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    checked = {"envyfree", "clinching", "profit"}
+    assert "core" in {part for name in imported for part in name.split(".")}
+    assert not {name for name in imported if checked & set(name.split("."))}

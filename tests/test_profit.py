@@ -7,7 +7,7 @@ from clinchbench.core import (
     InstanceError,
     Outcome,
     PositionEnvironment,
-    make_instance,
+    normalize,
     outcome_revenue,
 )
 from clinchbench.envyfree import efo_revenue
@@ -40,7 +40,7 @@ SINGLE_ITEM = PositionEnvironment((1.0, 0.0))
 def _estimate_payments(estimate, env, budget):
     k = len(estimate)
     weights = (env.weights + (0.0,) * k)[:k]
-    return efo_revenue(make_instance(estimate, weights, budget)).outcome.pay
+    return efo_revenue(normalize(estimate, weights, budget)).outcome.pay
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_rejection_extractor_self_estimate():
         _, actual, env = _random_pair(rng)
         out = per_profit_extractor(actual, actual, env)
         ref = efo_revenue(
-            make_instance(
+            normalize(
                 actual, (env.weights + (0.0,) * len(actual))[: len(actual)], math.inf
             )
         ).objective
@@ -202,7 +202,7 @@ def test_rejection_extractor_own_bid_monotone():
 
 
 def test_bspe_budget_shape_and_caps():
-    inst = make_instance((4.0, 3.0, 2.5, 2.0), (1.0, 0.7, 0.3, 0.0), 1.5)
+    inst = normalize((4.0, 3.0, 2.5, 2.0), (1.0, 0.7, 0.3, 0.0), 1.5)
     for seed in range(30):
         out = bspe_budget(inst, 0.3, seed)
         split = biased_sample(inst.n, 0.3, seed)
@@ -214,19 +214,19 @@ def test_bspe_budget_shape_and_caps():
 
 
 def test_bspe_budget_single_agent_is_silent():
-    inst = make_instance((5.0,), (1.0,), 2.0)
+    inst = normalize((5.0,), (1.0,), 2.0)
     for seed in range(10):
         assert bspe_budget(inst, 0.3, seed) == Outcome((0.0,), (0.0,))
 
 
 def test_bspe_nobudget_needs_positive_values():
-    inst = make_instance((3.0, 0.0), (1.0, 0.0), float("inf"))
+    inst = normalize((3.0, 0.0), (1.0, 0.0), float("inf"))
     with pytest.raises(InstanceError):
         bspe_nobudget(inst, 0.3, 0)
 
 
 def test_bspe_nobudget_clauses_fire():
-    inst = make_instance(
+    inst = normalize(
         (4.0, 3.0, 2.5, 2.0, 1.5), (1.0, 0.8, 0.5, 0.2, 0.0), float("inf")
     )
     seen = set()
@@ -241,7 +241,7 @@ def test_bspe_nobudget_clauses_fire():
     assert seen == {"rejected", "fallback", "bump"}
 
 
-PADDED = make_instance((4.0, 3.0, 2.5, 2.0), (1.0, 0.7, 0.3, 0.0), float("inf"))
+PADDED = normalize((4.0, 3.0, 2.5, 2.0), (1.0, 0.7, 0.3, 0.0), float("inf"))
 
 
 @pytest.fixture(scope="module")
@@ -251,7 +251,7 @@ def padded_pairs():
     reals with the same first n uniforms, so only the tail differs."""
 
     def levels(estimate):
-        return efo_revenue(make_instance(
+        return efo_revenue(normalize(
             estimate, PADDED.weights[:len(estimate)], float("inf"))).outcome.alloc
 
     pairs = {}
@@ -322,32 +322,32 @@ def test_tail_maximum_law():
 
 
 def test_bspe_nobudget_empty_instance():
-    inst = make_instance((), (), float("inf"))
+    inst = normalize((), (), float("inf"))
     assert bspe_nobudget(inst, 0.3, 0) == Outcome((), ())
 
 
 def test_pseudo_vickrey_fixtures():
-    unlimited = make_instance((5.0, 3.0), (1.0, 0.0), float("inf"))
+    unlimited = normalize((5.0, 3.0), (1.0, 0.0), float("inf"))
     assert pseudo_vickrey(unlimited) == Outcome((1.0, 0.0), (3.0, 0.0))
-    capped = make_instance((5.0, 3.0), (1.0, 0.0), 2.0)
+    capped = normalize((5.0, 3.0), (1.0, 0.0), 2.0)
     out = pseudo_vickrey(capped)
     assert out.alloc == pytest.approx((13 / 18, 5 / 18))
     assert out.pay == pytest.approx((2.0, 2 / 3))
-    shared = make_instance((4.0, 3.0, 2.0), (1.0, 1.0, 0.0), 1.0)
+    shared = normalize((4.0, 3.0, 2.0), (1.0, 1.0, 0.0), 1.0)
     out = pseudo_vickrey(shared)
     assert out.alloc == pytest.approx((0.5, 0.5, 0.0))
     assert out.pay == pytest.approx((1.0, 1.0, 0.0))
 
 
 def test_pseudo_vickrey_zero_top_weight():
-    inst = make_instance((5.0, 3.0), (0.0, 0.0), 2.0)
+    inst = normalize((5.0, 3.0), (0.0, 0.0), 2.0)
     assert pseudo_vickrey(inst) == Outcome((0.0, 0.0), (0.0, 0.0))
 
 
 def test_combined_mechanism_contract():
     """The mix draws one coin from the seeded stream and hands the same
     stream to the sampling branch, so both branches replay exactly."""
-    inst = make_instance((4.0, 3.0, 2.5, 2.0, 1.5), (1.0, 0.8, 0.5, 0.2, 0.0), 1.2)
+    inst = normalize((4.0, 3.0, 2.5, 2.0, 1.5), (1.0, 0.8, 0.5, 0.2, 0.0), 1.2)
     q = 0.211
     hat = combined_hat(q)
     for seed in range(40):
@@ -382,7 +382,7 @@ def test_factor_identity():
 
 @pytest.mark.parametrize("q", [0.0, 0.5, -0.1, 0.7])
 def test_coin_domain(q):
-    inst = make_instance((2.0, 1.0), (1.0, 0.0), 1.0)
+    inst = normalize((2.0, 1.0), (1.0, 0.0), 1.0)
     for call in (
         lambda: combined_factor(q),
         lambda: combined_hat(q),
