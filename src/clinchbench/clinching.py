@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BudgetedInstance, Outcome
+from .core import BudgetedInstance, Outcome, feasible
 from .envyfree import is_envy_free, min_payments
 
 # Slack used when comparing clock prices to drop-out values.
@@ -256,9 +256,9 @@ def structure_check(inst: BudgetedInstance, outcome: Outcome, tol=1e-6):
 
     Returns a list of violation descriptions; empty means the outcome has
     the budget-exhaustion prefix, keeps position weights below the pivot,
-    and is envy free.  The prefix and weight checks are one linear pass;
-    envy-freeness is ``is_envy_free``'s upper-envelope sweep, so the whole
-    check costs O(n log n) time and O(n) memory.
+    fits the supply, and is envy free.  The prefix, weight and supply checks
+    are linear passes; envy-freeness is ``is_envy_free``'s upper-envelope
+    sweep, so the whole check costs O(n log n) time and O(n) memory.
     """
     n = inst.n
     budget = inst.budget
@@ -289,6 +289,8 @@ def structure_check(inst: BudgetedInstance, outcome: Outcome, tol=1e-6):
     for i in range(n):
         if pay[i] > budget + scale:
             problems.append(f"agent {i + 1} pays beyond the budget")
+    if not feasible(inst.env, alloc, tol):
+        problems.append("allocation exceeds the supply")
     if not is_envy_free(inst.values, outcome, tol=tol):
         problems.append("outcome is not envy free")
     return problems

@@ -4,59 +4,51 @@ Three unrelated referees live here: a small dense LP solver used to state the
 envy-free benchmarks as explicit programs, a tick-discretized price clock that
 re-derives the clinching auction from its definition, and a brute-force envy
 checker.  None of them import from the characterization or auction modules;
-agreement between the two routes is what the test suite certifies.
+agreement between the two routes is what the test suite certifies.  Both LP
+encodings keep x >= 0 and right-hand sides >= 0, the one form `solve_lp` takes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BudgetedInstance, Outcome
 
 PIVOT_TOL = 1e-11
-FEAS_TOL = 1e-7
 RATIO_TIE_TOL = 1e-12
 MAX_PIVOTS = 50_000
 LP_AGENT_CAP = 16
-
-
-class InfeasibleError(ArithmeticError):
-    """The constraint system admits no feasible point."""
 
 
 class UnboundedError(ArithmeticError):
     """The objective improves without limit over the feasible region."""
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """Dense LP in the form: maximize objective @ x subject to lhs @ x <= rhs.
+def solve_lp(objective, lhs, rhs) -> tuple[float, tuple[float, ...]]:
+    """Dense simplex: maximize objective @ x s.t. lhs @ x <= rhs, x >= 0.
 
-    Variables live in [lower, upper], defaulting to [0, +inf).  Lower bounds
-    must be finite; +inf entries are allowed in `upper`.
+    Requires rhs >= 0 (a negative entry raises ValueError): x = 0 is then
+    feasible, so the pivots, under Bland's rule, start from the slack basis.
+    Returns (optimal value, an optimizer), or raises UnboundedError.  Built
+    for desk-scale programs; the envy-free encodings below stay well under a
+    thousand rows.
     """
-
-    objective: tuple[float, ...]
-    lhs: tuple[tuple[float, ...], ...]
-    rhs: tuple[float, ...]
-    lower: tuple[float, ...] | None = None
-    upper: tuple[float, ...] | None = None
-
-
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factor = tableau[:, col].copy()
-    factor[row] = 0.0
-    tableau -= np.outer(factor, tableau[row])
-    basis[row] = col
-
-
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
-    """Primal simplex iterations under Bland's rule (anti-cycling)."""
-    rows = tableau.shape[0]
+    c = np.asarray(objective, dtype=float)
+    nvar = c.size
+    b = np.asarray(rhs, dtype=float)
+    m = b.size
+    A = np.asarray(lhs, dtype=float).reshape(m, nvar)
+    if np.any(b < 0.0):
+        raise ValueError("right-hand sides must be non-negative")
+    tableau = np.zeros((m, nvar + m + 1))
+    tableau[:, :nvar] = A
+    tableau[np.arange(m), nvar + np.arange(m)] = 1.0
+    tableau[:, -1] = b
+    basis = nvar + np.arange(m)
+    cost = np.zeros(nvar + m)
+    cost[:nvar] = c
     for _ in range(MAX_PIVOTS):
         reduced = cost - cost[basis] @ tableau[:, :-1]
         enter = -1
@@ -65,10 +57,10 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> No
                 enter = j
                 break
         if enter < 0:
-            return
+            break
         leave = -1
         best = math.inf
-        for r in range(rows):
+        for r in range(m):
             a = tableau[r, enter]
             if a <= PIVOT_TOL:
                 continue
@@ -79,85 +71,44 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> No
                 leave = r  # tie: smaller basic variable leaves
         if leave < 0:
             raise UnboundedError("no blocking row for the entering column")
-        _pivot(tableau, basis, leave, enter)
-    raise ArithmeticError("simplex pivot budget exceeded")
-
-
-def solve_lp(lp: LinearProgram) -> tuple[float, tuple[float, ...]]:
-    """Two-phase dense simplex.
-
-    Returns (optimal value, an optimizer).  Raises InfeasibleError or
-    UnboundedError as appropriate.  Built for desk-scale programs; the
-    envy-free encodings below stay well under a thousand rows.
-    """
-    c = np.asarray(lp.objective, dtype=float)
-    nvar = c.size
-    if lp.lhs:
-        A = np.asarray(lp.lhs, dtype=float).reshape(-1, nvar)
-        b = np.asarray(lp.rhs, dtype=float).copy()
+        tableau[leave] /= tableau[leave, enter]
+        factor = tableau[:, enter].copy()
+        factor[leave] = 0.0
+        tableau -= np.outer(factor, tableau[leave])
+        basis[leave] = enter
     else:
-        A = np.zeros((0, nvar))
-        b = np.zeros(0)
-    lower = np.zeros(nvar) if lp.lower is None else np.asarray(lp.lower, dtype=float)
-    if not np.all(np.isfinite(lower)):
-        raise ValueError("lower bounds must be finite")
-    # shift to y = x - lower >= 0, fold finite uppers in as rows
-    b = b - A @ lower
-    offset = float(c @ lower)
-    if lp.upper is not None:
-        for j, u in enumerate(np.asarray(lp.upper, dtype=float) - lower):
-            if math.isfinite(u):
-                row = np.zeros(nvar)
-                row[j] = 1.0
-                A = np.vstack([A, row])
-                b = np.append(b, u)
-    m = A.shape[0]
-    sign = np.where(b < 0.0, -1.0, 1.0)
-    art_rows = np.flatnonzero(sign < 0.0)
-    nart = art_rows.size
-    ncols = nvar + m + nart
-    tableau = np.zeros((m, ncols + 1))
-    tableau[:, :nvar] = A * sign[:, None]
-    tableau[np.arange(m), nvar + np.arange(m)] = sign
-    if nart:
-        tableau[art_rows, nvar + m + np.arange(nart)] = 1.0
-    tableau[:, -1] = b * sign
-    basis = (nvar + np.arange(m)).astype(int)
-    basis[art_rows] = nvar + m + np.arange(nart)
-
-    if nart:
-        cost1 = np.zeros(ncols)
-        cost1[nvar + m:] = -1.0
-        _run_simplex(tableau, basis, cost1)
-        residual = -float(cost1[basis] @ tableau[:, -1])
-        if residual > FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-            raise InfeasibleError("phase one ended with positive artificials")
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] < nvar + m:
-                continue
-            piv = next(
-                (j for j in range(nvar + m) if abs(tableau[r, j]) > PIVOT_TOL), None
-            )
-            if piv is None:
-                keep[r] = False  # redundant row
-            else:
-                _pivot(tableau, basis, r, piv)
-        tableau = np.hstack([tableau[:, : nvar + m], tableau[:, -1:]])[keep]
-        basis = basis[keep]
-
-    cost2 = np.zeros(nvar + m)
-    cost2[:nvar] = c
-    _run_simplex(tableau, basis, cost2)
+        raise ArithmeticError("simplex pivot budget exceeded")
     solution = np.zeros(nvar + m)
     solution[basis] = tableau[:, -1]
-    x = solution[:nvar] + lower
-    return float(c @ solution[:nvar]) + offset, tuple(float(t) for t in x)
+    x = solution[:nvar]
+    return float(c @ x), tuple(float(t) for t in x)
 
 
 def _check_cap(n: int) -> None:
     if n > LP_AGENT_CAP:
         raise ValueError(f"LP benchmark capped at {LP_AGENT_CAP} agents, got {n}")
+
+
+def _allocation_rows(inst: BudgetedInstance, width: int):
+    """Rows shared by both encodings, over `width` variables of which the
+    first n are the allocations: non-increasing allocations
+    (x_{i+1} - x_i <= 0), then prefix sums against the cumulative weights."""
+    n = inst.n
+    supply = np.cumsum(inst.weights)
+    rows: list[tuple[float, ...]] = []
+    rhs: list[float] = []
+    for i in range(n - 1):
+        row = np.zeros(width)
+        row[i + 1] = 1.0
+        row[i] = -1.0
+        rows.append(tuple(row))
+        rhs.append(0.0)
+    for i in range(n):
+        row = np.zeros(width)
+        row[: i + 1] = 1.0
+        rows.append(tuple(row))
+        rhs.append(float(supply[i]))
+    return rows, rhs
 
 
 def lp_efo_welfare(inst: BudgetedInstance) -> float:
@@ -173,20 +124,7 @@ def lp_efo_welfare(inst: BudgetedInstance) -> float:
     if n == 0:
         return 0.0
     v = inst.values
-    supply = np.cumsum(inst.weights)
-    rows: list[tuple[float, ...]] = []
-    rhs: list[float] = []
-    for i in range(n - 1):
-        row = np.zeros(n)
-        row[i + 1] = 1.0
-        row[i] = -1.0
-        rows.append(tuple(row))
-        rhs.append(0.0)
-    for i in range(n):
-        row = np.zeros(n)
-        row[: i + 1] = 1.0
-        rows.append(tuple(row))
-        rhs.append(float(supply[i]))
+    rows, rhs = _allocation_rows(inst, n)
     if math.isfinite(inst.budget):
         coef = np.zeros(n)
         for j in range(1, n):
@@ -194,9 +132,7 @@ def lp_efo_welfare(inst: BudgetedInstance) -> float:
             coef[j] -= v[j]
         rows.append(tuple(coef))
         rhs.append(inst.budget)
-    value, _ = solve_lp(
-        LinearProgram(tuple(float(t) for t in v), tuple(rows), tuple(rhs))
-    )
+    value, _ = solve_lp(v, rows, rhs)
     return value
 
 
@@ -213,24 +149,13 @@ def lp_efo_revenue(inst: BudgetedInstance) -> float:
     if n == 0:
         return 0.0
     v = inst.values
-    supply = np.cumsum(inst.weights)
     width = 2 * n  # x then p
-    rows: list[tuple[float, ...]] = []
-    rhs: list[float] = []
+    rows, rhs = _allocation_rows(inst, width)
 
     def push(row: np.ndarray, bound: float) -> None:
         rows.append(tuple(row))
         rhs.append(float(bound))
 
-    for i in range(n - 1):
-        row = np.zeros(width)
-        row[i + 1] = 1.0
-        row[i] = -1.0
-        push(row, 0.0)
-    for i in range(n):
-        row = np.zeros(width)
-        row[: i + 1] = 1.0
-        push(row, float(supply[i]))
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -252,7 +177,7 @@ def lp_efo_revenue(inst: BudgetedInstance) -> float:
             row[n + i] = 1.0
             push(row, inst.budget)
     objective = (0.0,) * n + (1.0,) * n
-    value, _ = solve_lp(LinearProgram(objective, tuple(rows), tuple(rhs)))
+    value, _ = solve_lp(objective, rows, rhs)
     return value
 
 

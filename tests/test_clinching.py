@@ -217,6 +217,13 @@ def test_structure_check_flags_overpayment(worked):
     assert any("beyond the budget" in line for line in report)
 
 
+def test_structure_check_flags_over_allocation(worked):
+    # equal shares, everyone paying the budget: envy free, but 4.5 units
+    # handed out against a supply of 2
+    report = structure_check(worked, Outcome((1.5, 1.5, 1.5), (1.0, 1.0, 1.0)))
+    assert report == ["allocation exceeds the supply"]
+
+
 def test_structure_check_flags_unequal_prefix(worked):
     outcome, _ = closed_form(worked)
     bad = Outcome((outcome.alloc[0] + 0.2,) + outcome.alloc[1:], outcome.pay)
