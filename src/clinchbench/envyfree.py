@@ -5,11 +5,16 @@ multiplier characterization: penalize the top payment, iron the resulting
 virtual-value curve, and mix the two tie-break extremes of the optimizer
 set so the top payment lands exactly on the budget.
 
+The multiplier is exact: each tie-break extreme x (an *arm*) has the line
+value(x) - lam * p_1(x) as its Lagrangian, and the lowest-p_1 arm where the
+lines of an overspending and a fitting arm cross is either a new line between
+them, which replaces one of the two, or both are optimal at that breakpoint.
+
 The two benchmarks share that machinery and differ only through a private
 frozen record per objective (``_WELFARE``, ``_REVENUE``): the curve to iron
 (``welfare_curve`` or ``revenue_curve``), the payment rule (``min_payments``
 or ``max_payments``), the coefficients of the top payment as a linear form
-in the allocation, the objective value of an outcome, and the allocation
+in the allocation, the objective value of an allocation, and the allocation
 used when the budget is slack (the weights, or the p_1-maximal optimizer at
 multiplier zero).
 """
@@ -26,16 +31,12 @@ from .core import (
     Outcome,
     ValuationProfile,
     _as_floats,
-    outcome_revenue,
-    outcome_welfare,
     zero_outcome,
 )
 
 # Adjacent hull intervals count as tied when their ironed virtuals differ
 # by less than this relative amount.
 TIE_RTOL = 1e-9
-# Relative bracket width at which the multiplier bisection stops.
-BRACKET_RTOL = 1e-10
 
 
 def _band_inputs(values, alloc):
@@ -162,10 +163,9 @@ class IroningResult:
     ``curve`` holds R(0..n), ``ironed_curve`` the envelope of the points
     (i, max(R(i), 0)), ``intervals`` the 1-based index ranges over which
     the envelope sits strictly above the curve, and ``vertices`` the
-    contact indexes of the envelope.
+    contact indexes of the envelope; a multiplier is already in ``curve``.
     """
 
-    multiplier: float
     curve: tuple
     ironed_curve: tuple
     virtual: tuple
@@ -192,7 +192,7 @@ def _hull_vertices(heights):
     return verts
 
 
-def iron(curve, multiplier=0.0):
+def iron(curve):
     """Iron a cumulative virtual curve R(0..n) against the origin.
 
     Produces the least concave function that dominates both the curve and
@@ -222,7 +222,6 @@ def iron(curve, multiplier=0.0):
         virtual = []
     intervals = tuple((a + 1, b) for a, b in zip(verts, verts[1:]) if b - a >= 2)
     return IroningResult(
-        multiplier=float(multiplier),
         curve=tuple(raw),
         ironed_curve=tuple(bar),
         virtual=tuple(virtual),
@@ -303,7 +302,7 @@ def _arm(inst, lam, objective, maximize):
     values = list(inst.values)
     n = inst.n
     supply = (0.0,) + inst.env.cumulative_supply()
-    res = iron(objective.curve(values, lam), lam)
+    res = iron(objective.curve(values, lam))
     verts = res.vertices
     height = res.ironed_curve
     coeffs = objective.p1(values)
@@ -353,7 +352,8 @@ def _arm(inst, lam, objective, maximize):
 class BenchmarkResult:
     """Benchmark outcome with the multiplier and tie-break mix that hit it.
 
-    ``mix`` is the probability placed on the p_1-maximal tie-break arm.
+    ``multiplier`` is the exact breakpoint where the budget binds, its dual
+    price in ``oracle``'s programs.  ``mix`` is the p_1-maximal arm's weight.
     """
 
     outcome: Outcome
@@ -366,7 +366,7 @@ class BenchmarkResult:
 class _Objective:
     """One benchmark objective (see the module docstring).  Called as
     ``curve(values, lam)``, ``payments(values, alloc)``, ``p1(values)``,
-    ``value(inst, outcome)`` and ``slack_alloc(inst)``."""
+    ``value(values, alloc)`` and ``slack_alloc(inst)``."""
 
     curve: Callable
     payments: Callable
@@ -379,14 +379,14 @@ _WELFARE = _Objective(
     curve=welfare_curve,
     payments=min_payments,
     p1=_welfare_p1,
-    value=outcome_welfare,
+    value=lambda values, alloc: sum(v * x for v, x in zip(values, alloc)),
     slack_alloc=lambda inst: list(inst.weights),
 )
 _REVENUE = _Objective(
     curve=revenue_curve,
     payments=max_payments,
     p1=_revenue_p1,
-    value=lambda inst, outcome: outcome_revenue(outcome),
+    value=lambda values, alloc: sum(max_payments(values, alloc)),
     slack_alloc=lambda inst: _arm(inst, 0.0, _REVENUE, True)[0],
 )
 
@@ -403,29 +403,34 @@ def _benchmark(inst, objective):
     p0 = objective.payments(values, x0)
     if not p0 or p0[0] <= budget:
         outcome = Outcome(tuple(x0), p0)
-        return BenchmarkResult(outcome, objective.value(inst, outcome), 0.0, 1.0)
+        return BenchmarkResult(outcome, objective.value(values, x0), 0.0, 1.0)
 
-    def fits(lam):
-        return _arm(inst, lam, objective, False)[1] <= budget
-
-    if fits(0.0):
-        lo = hi = 0.0
+    # Arms are (alloc, p_1); doubling lam brackets lo (overspends) and hi
+    # (fits).  Stop on "no new line": at a float crossing the hull may miss ties.
+    lam = 0.0
+    hi = _arm(inst, lam, objective, False)
+    if hi[1] <= budget:
+        lo = _arm(inst, lam, objective, True)
     else:
-        lo, hi = 0.0, 1.0
+        lam = 1.0
         for _ in range(400):
-            if fits(hi):
+            lo, hi = hi, _arm(inst, lam, objective, False)
+            if hi[1] <= budget:
                 break
-            lo, hi = hi, hi * 2.0
+            lam *= 2.0
         else:
             raise ArithmeticError("multiplier search failed to bracket")
-        while hi - lo > BRACKET_RTOL * (1.0 + hi):
-            mid = 0.5 * (lo + hi)
-            if fits(mid):
-                hi = mid
+        while True:
+            gain = objective.value(values, lo[0]) - objective.value(values, hi[0])
+            lam = gain / (lo[1] - hi[1])
+            arm = _arm(inst, lam, objective, False)
+            if not hi[1] < arm[1] < lo[1]:
+                break
+            if arm[1] > budget:
+                lo = arm
             else:
-                lo = mid
-    xmax, pmax = _arm(inst, lo, objective, True)
-    xmin, pmin = _arm(inst, hi, objective, False)
+                hi = arm
+    (xmax, pmax), (xmin, pmin) = lo, hi
     if pmax - pmin <= 0.0:
         theta = 1.0
     else:
@@ -433,7 +438,7 @@ def _benchmark(inst, objective):
         theta = min(1.0, max(0.0, theta))
     xs = tuple(theta * a + (1.0 - theta) * b for a, b in zip(xmax, xmin))
     outcome = Outcome(xs, objective.payments(values, xs))
-    return BenchmarkResult(outcome, objective.value(inst, outcome), hi, theta)
+    return BenchmarkResult(outcome, objective.value(values, xs), lam, theta)
 
 
 def efo_welfare(inst: BudgetedInstance) -> BenchmarkResult:

@@ -5,6 +5,9 @@ HiGHS is handed the (objective, lhs, rhs) each encoding in ``oracle`` passes
 to ``solve_lp``, by substituting it for ``solve_lp``.  Zero budgets are left
 out: there ``efo_welfare`` returns 0 while both LPs give the pooled optimum.
 """
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -17,20 +20,25 @@ from clinchbench.profit import trial_rng
 linprog = pytest.importorskip("scipy.optimize").linprog
 
 
-def highs_lp(objective, lhs, rhs):
-    """``solve_lp``'s contract, answered by HiGHS."""
+def highs_lp(objective, lhs, rhs, marginals):
+    """``solve_lp``'s contract, answered by HiGHS.  Each solve's row
+    marginals (d(-value)/d(rhs), so minus the dual prices) are appended to
+    ``marginals``."""
     c = np.asarray(objective, dtype=float)
     A = np.asarray(lhs, dtype=float).reshape(len(rhs), c.size)
     res = linprog(-c, A_ub=A, b_ub=np.asarray(rhs, dtype=float),
                   bounds=(0.0, None), method="highs")
     assert res.status == 0, res.message
+    marginals.append(res.ineqlin.marginals)
     return -res.fun, tuple(res.x)
 
 
-def highs_values(monkeypatch, inst):
-    """(welfare LP, revenue LP) with HiGHS in place of the in-house simplex."""
+def highs_values(monkeypatch, inst, marginals):
+    """(welfare LP, revenue LP) with HiGHS in place of the in-house simplex;
+    the two programs' row marginals are appended to ``marginals``."""
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "solve_lp", highs_lp)
+        patch.setattr(oracle, "solve_lp",
+                      functools.partial(highs_lp, marginals=marginals))
         return oracle.lp_efo_welfare(inst), oracle.lp_efo_revenue(inst)
 
 
@@ -66,10 +74,21 @@ def test_benchmarks_match_highs_on_the_lp_encodings(monkeypatch):
     rng = np.random.default_rng(2024)
     for _ in range(200):
         inst = draw_fuzz_instance(rng)
-        welfare_ref, revenue_ref = highs_values(monkeypatch, inst)
+        marginals = []
+        welfare_ref, revenue_ref = highs_values(monkeypatch, inst, marginals)
+        welfare, revenue = efo_welfare(inst), efo_revenue(inst)
         assert oracle.lp_efo_welfare(inst) == pytest.approx(welfare_ref, rel=1e-8), inst
-        assert efo_welfare(inst).objective == pytest.approx(welfare_ref, rel=1e-8), inst
-        assert efo_revenue(inst).objective == pytest.approx(revenue_ref, rel=1e-8), inst
+        assert welfare.objective == pytest.approx(welfare_ref, rel=1e-8), inst
+        assert revenue.objective == pytest.approx(revenue_ref, rel=1e-8), inst
+        if math.isfinite(inst.budget):
+            # The multiplier is the budget's dual price: the welfare program's
+            # last row, and the sum over the revenue program's last n rows
+            # (one cap per agent).
+            welfare_rows, revenue_rows = marginals
+            assert welfare.multiplier == pytest.approx(
+                -welfare_rows[-1], rel=1e-8, abs=1e-8), inst
+            assert revenue.multiplier == pytest.approx(
+                -sum(revenue_rows[-inst.n:]), rel=1e-8, abs=1e-8), inst
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -77,6 +96,6 @@ def test_benchmarks_match_highs_on_the_lp_encodings(monkeypatch):
     "0.28341 against 1.86166 from efo_revenue and HiGHS"))
 def test_in_house_revenue_lp_matches_highs(monkeypatch):
     inst = sampled_instance(trial_rng(4, 71), 8)
-    _, revenue_ref = highs_values(monkeypatch, inst)
+    _, revenue_ref = highs_values(monkeypatch, inst, [])
     assert efo_revenue(inst).objective == pytest.approx(revenue_ref, rel=1e-8)
     assert oracle.lp_efo_revenue(inst) == pytest.approx(revenue_ref, rel=1e-8)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clinchbench import oracle
+from clinchbench import envyfree, oracle
+from clinchbench.cli import tight_instance
 from clinchbench.clinching import closed_form, run_clock
 from clinchbench.core import (
     Outcome,
@@ -389,11 +390,33 @@ def test_matches_lp_oracle_on_random_instances():
         assert r == pytest.approx(lr, rel=REL, abs=1e-8), inst
 
 
+def test_multiplier_search_evaluates_few_arms(monkeypatch):
+    """The breakpoint search needs at most 30 arm evaluations per benchmark,
+    on random instances and across the tight family's sizes."""
+    calls = []
+    arm = envyfree._arm
+
+    def counted(*args):
+        calls.append(args)
+        return arm(*args)
+
+    monkeypatch.setattr(envyfree, "_arm", counted)
+    rng = np.random.default_rng(31)
+    instances = [draw_instance(rng, 8) for _ in range(500)]
+    instances += [tight_instance(N) for N in (3, 40, 400)]
+    for inst in instances:
+        for bench in (efo_welfare, efo_revenue):
+            calls.clear()
+            bench(inst)
+            assert len(calls) <= 30, (bench.__name__, inst)
+
+
 @st.composite
 def small_instances(draw):
     n = draw(st.integers(1, 6))
     values = sorted(
-        draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)),
+        draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 5.0)),
+                      min_size=n, max_size=n)),
         reverse=True,
     )
     k = draw(st.integers(0, n))
